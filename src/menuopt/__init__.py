@@ -48,6 +48,7 @@ from .stackelberg import StackelbergResult, stackelberg_leader, type_leader_valu
 from .approachability import (
     ApproachVerdict,
     DirectionNet,
+    TesterNet,
     halfspace_value,
     separating_hyperplane,
     test_assignment_valid,

@@ -16,16 +16,17 @@ makes the check decidable up to an additive delta:
   * a failing net direction yields an opponent mix y* under which no
     learner response lands inside the menu, a sound invalidity proof.
 
-The action-perspective oracle has identical semantics for candidate
-menus (supporting cuts are nonnegative combinations of the k defining
-halfspaces), so it is exposed as an alias of the same engine.
+The net values do not depend on the thresholds c, so a `TesterNet`
+evaluates them once for a (game, delta) and every verdict that a solver
+asks of that game and delta reuses it.  A net lives only as long as the
+call that built it; nothing is cached across calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil, comb
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,20 +49,17 @@ def simplex_lattice(dim: int, denominator: int) -> np.ndarray:
     count = comb(denominator + dim - 1, dim - 1)
     if count > _NET_CAP:
         raise GridTooLarge(f"lattice would have {count} points")
-    out = np.zeros((count, dim))
-    idx = 0
-
-    def rec(prefix: List[int], remaining: int, slots: int):
-        nonlocal idx
-        if slots == 1:
-            out[idx, : len(prefix)] = prefix
-            out[idx, len(prefix)] = remaining
-            idx += 1
-            return
-        for v in range(remaining, -1, -1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], denominator, dim)
+    # Expand one coordinate at a time: each prefix row with `rem` left over
+    # becomes rem + 1 rows taking rem, rem - 1, ..., 0 next, in that order.
+    prefix = np.zeros((1, 0), dtype=np.int64)
+    rem = np.array([denominator], dtype=np.int64)
+    for _ in range(dim - 1):
+        reps = rem + 1
+        parent = np.repeat(np.arange(rem.size), reps)
+        taken = rem[parent] - (np.arange(parent.size) - np.repeat(np.cumsum(reps) - reps, reps))
+        prefix = np.column_stack([prefix[parent], taken])
+        rem = rem[parent] - taken
+    out = np.column_stack([prefix, rem])
     return out / denominator
 
 
@@ -129,27 +127,70 @@ def _net_values(game: BimatrixGame, directions: np.ndarray) -> np.ndarray:
     return np.array([lp.zero_sum_value(M)[0] for M in stacks])
 
 
+@dataclass(frozen=True, eq=False)
+class TesterNet:
+    """The direction net of one (game, delta) with every direction's value.
+
+    Certificates of refuting directions are solved on first use and kept,
+    so a solver that asks many verdicts of the same game pays for each
+    direction's zero-sum game once.  Build one per solver call.
+    """
+
+    game: BimatrixGame
+    delta: float
+    points: np.ndarray
+    values: np.ndarray
+    certificates: Dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    __test__ = False  # not a pytest case, despite the name
+
+    @staticmethod
+    def build(game: BimatrixGame, delta: float) -> "TesterNet":
+        if delta <= 0:
+            raise InvalidInput("delta must be positive")
+        points = DirectionNet.build(game.k, delta / (4.0 * game.p_max)).points
+        return TesterNet(game, delta, points, _net_values(game, points))
+
+    def slacks(self, c: np.ndarray) -> np.ndarray:
+        """Per-direction pass margins a . c + delta/2 - value."""
+        return self.points @ np.asarray(c, dtype=float) + self.delta / 2.0 - self.values
+
+    def certificate(self, index: int) -> np.ndarray:
+        """Opponent mix of the zero-sum game of direction `index`."""
+        y = self.certificates.get(index)
+        if y is None:
+            M_a = np.tensordot(self.points[index], self.game.opponent_payoffs, axes=(0, 0))
+            y = self.certificates[index] = lp.zero_sum_value(M_a)[2]
+        return y.copy()
+
+
+def _net_for(game: BimatrixGame, delta: float, net: Optional[TesterNet]) -> TesterNet:
+    if net is None:
+        return TesterNet.build(game, delta)
+    if net.game is not game or net.delta != delta:
+        raise InvalidInput("tester net was built for another game or delta")
+    return net
+
+
 def verdict_for_thresholds(
-    game: BimatrixGame, c: np.ndarray, delta: float
+    game: BimatrixGame, c: np.ndarray, delta: float, net: Optional[TesterNet] = None
 ) -> ApproachVerdict:
-    """Tester core over raw per-type utility thresholds c."""
-    if delta <= 0:
-        raise InvalidInput("delta must be positive")
-    c = np.asarray(c, dtype=float)
-    net = DirectionNet.build(game.k, delta / (4.0 * game.p_max))
-    values = _net_values(game, net.points)
-    slack = net.points @ c + delta / 2.0 - values
-    bad = np.nonzero(slack < -1e-12)[0]
+    """Tester core over raw per-type utility thresholds c.
+
+    `net`, when given, must have been built for this game object and delta.
+    """
+    net = _net_for(game, delta, net)
+    bad = np.nonzero(net.slacks(c) < -1e-12)[0]
     if bad.size == 0:
         return ApproachVerdict(True, delta)
-    a = net.points[int(bad[0])]
-    M_a = np.tensordot(a, game.opponent_payoffs, axes=(0, 0))
-    _, _, y = lp.zero_sum_value(M_a)
-    return ApproachVerdict(False, delta, direction=a, certificate_y=y)
+    i = int(bad[0])
+    return ApproachVerdict(False, delta, direction=net.points[i].copy(), certificate_y=net.certificate(i))
 
 
 def test_assignment_valid(
-    assign: CspAssignment, game: BimatrixGame, delta: float
+    assign: CspAssignment,
+    game: BimatrixGame,
+    delta: float,
+    net: Optional[TesterNet] = None,
 ) -> ApproachVerdict:
     """Decide approximately whether the candidate menu of `assign` is valid.
 
@@ -158,15 +199,10 @@ def test_assignment_valid(
     its opponent certificate.
     """
     c = candidate_utility_set(assign, 0.0, game).thresholds
-    return verdict_for_thresholds(game, c, delta)
+    return verdict_for_thresholds(game, c, delta, net)
 
 
-# Action-perspective oracle: identical semantics for candidate menus.
-test_assignment_valid_action_perspective = test_assignment_valid
-
-# not a pytest case, despite the name
-test_assignment_valid.__test__ = False
-test_assignment_valid_action_perspective.__test__ = False
+test_assignment_valid.__test__ = False  # not a pytest case, despite the name
 
 
 def direction_slacks(
@@ -174,8 +210,7 @@ def direction_slacks(
 ) -> np.ndarray:
     """Per-net-direction pass margins a . c + delta/2 - value (diagnostics)."""
     c = candidate_utility_set(assign, 0.0, game).thresholds
-    net = DirectionNet.build(game.k, delta / (4.0 * game.p_max))
-    return net.points @ c + delta / 2.0 - _net_values(game, net.points)
+    return TesterNet.build(game, delta).slacks(c)
 
 
 def separating_hyperplane(

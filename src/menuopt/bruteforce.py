@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import lp
-from .approachability import simplex_lattice, test_assignment_valid
+from .approachability import TesterNet, simplex_lattice, test_assignment_valid
 from .core import BimatrixGame, CspAssignment
 from .errors import EmptyMenu, GridTooLarge, InvalidInput
 from .maximin import threshold_assignment
@@ -113,10 +113,11 @@ def grid_maximin_opt(game: BimatrixGame, resolution: float, delta: float) -> flo
     steps = int(np.ceil((hi - lo) / resolution)) + 1
     if steps > 100_000:
         raise GridTooLarge("value grid exceeds the cap")
+    net = TesterNet.build(game, delta)
     for s in range(steps + 1):
         V = hi - s * resolution
         assign = threshold_assignment(game, min(V, hi))
-        if test_assignment_valid(assign, game, delta).approachable:
+        if test_assignment_valid(assign, game, delta, net).approachable:
             return float(min(V, hi))
     return lo
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import lp
 from .approachability import (
+    TesterNet,
     separator_for_thresholds,
     test_assignment_valid,
     verdict_for_thresholds,
@@ -131,6 +132,7 @@ def optimize_general(
         obj[i * mn : (i + 1) * mn] = game.alphas[i] * game.u_L.ravel()
 
     uo_flat = np.array([game.u_O(i).ravel() for i in range(k)])
+    net = TesterNet.build(game, delta)  # shared by every verdict below
     best_vec: Optional[np.ndarray] = None
     best_val = -np.inf
     converged = False
@@ -168,7 +170,7 @@ def optimize_general(
                 # the separator run on it directly; cuts then pass exactly
                 # through the queried point
                 c_raw = np.einsum("ij,ij->i", uo_flat, blocks)
-                verdict = verdict_for_thresholds(game, c_raw, delta)
+                verdict = verdict_for_thresholds(game, c_raw, delta, net)
                 if verdict.approachable:
                     val = float(obj @ center)
                     if val > best_val:
@@ -207,10 +209,10 @@ def optimize_general(
     else:
         assign = _clean_assignment(best_vec, k)
 
-    verdict = test_assignment_valid(assign, game, delta)
+    verdict = test_assignment_valid(assign, game, delta, net)
     if not verdict.approachable:
         assign = water_fill_repair(assign, game, min(1.0, eps))
-        verdict = test_assignment_valid(assign, game, delta)
+        verdict = test_assignment_valid(assign, game, delta, net)
     menu = candidate_menu(assign, eps, game)
     return GeneralCommitment(
         assignment=assign,

@@ -20,6 +20,7 @@ from .errors import InvalidInput, ThresholdInfeasible
 from .menus import candidate_utility_set
 
 _SLACK = 1e-9
+_SCHEDULE_WRAP = 100_000  # rounds after which the schedule adversary starts over
 
 
 @dataclass(frozen=True)
@@ -160,22 +161,27 @@ def random_adversary(view: EpochView, rng: np.random.Generator) -> np.ndarray:
 
 
 def make_schedule_adversary(type_index: int = 0) -> AdversaryFn:
-    """Plays the column track of a pure-pair schedule for its assigned profile."""
-    from .playback import schedule_for  # local import avoids a cycle
+    """Plays the column track of a pure-pair schedule for its assigned profile.
+
+    The schedule restarts every epoch and wraps after 100,000 rounds; its
+    pairs are generated only as far as the epoch has played.
+    """
+    from .playback import schedule_pairs  # local import avoids a cycle
 
     cache: dict = {}
 
     def policy(view: EpochView, rng: np.random.Generator) -> np.ndarray:
         if cache.get("epoch") != view.epoch_index:
             cache["epoch"] = view.epoch_index
-            cache["pairs"] = schedule_for(
-                view.assignment[type_index], 100_000, view.game.m, view.game.n
-            )
+            cache["stream"] = schedule_pairs(view.assignment[type_index])
+            cache["pairs"] = []
             cache["start"] = view.round_in_epoch
-        t = (view.round_in_epoch - cache["start"]) % len(cache["pairs"])
-        j = int(cache["pairs"][t]) % view.game.n
+        t = (view.round_in_epoch - cache["start"]) % _SCHEDULE_WRAP
+        pairs = cache["pairs"]
+        while len(pairs) <= t:
+            pairs.append(next(cache["stream"]))
         y = np.zeros(view.game.n)
-        y[j] = 1.0
+        y[pairs[t] % view.game.n] = 1.0
         return y
 
     return policy
@@ -183,8 +189,11 @@ def make_schedule_adversary(type_index: int = 0) -> AdversaryFn:
 
 def make_aborter_adversary(probe_delta: float = 0.02, type_index: int = 0) -> AdversaryFn:
     """Plays an invalidity certificate whenever the epoch's menu has one,
-    otherwise falls back to the assigned schedule."""
-    from .approachability import test_assignment_valid
+    otherwise falls back to the assigned schedule.
+
+    One tester net, built at the first probe, serves every epoch of the run.
+    """
+    from .approachability import TesterNet, test_assignment_valid
 
     schedule = make_schedule_adversary(type_index)
     cache: dict = {}
@@ -192,7 +201,9 @@ def make_aborter_adversary(probe_delta: float = 0.02, type_index: int = 0) -> Ad
     def policy(view: EpochView, rng: np.random.Generator) -> np.ndarray:
         if cache.get("epoch") != view.epoch_index:
             cache["epoch"] = view.epoch_index
-            verdict = test_assignment_valid(view.assignment, view.game, probe_delta)
+            if "net" not in cache:
+                cache["net"] = TesterNet.build(view.game, probe_delta)
+            verdict = test_assignment_valid(view.assignment, view.game, probe_delta, cache["net"])
             cache["cert"] = None if verdict.approachable else verdict.certificate_y
         if cache["cert"] is not None:
             return cache["cert"]

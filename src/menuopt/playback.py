@@ -10,7 +10,8 @@ forcing dynamics that keep the running average near the menu.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,24 +22,28 @@ from .maximin import HedgeState, blackwell_abort_step, hedge_weights
 from .menus import HalfspaceMenu, candidate_utility_set, menu_violation
 
 
-def schedule_for(target: Csp, T: int, m: int, n: int) -> np.ndarray:
-    """Deterministic pure-pair sequence whose running average tracks `target`.
+def schedule_pairs(target: Csp) -> Iterator[int]:
+    """Endless pure-pair sequence whose running average tracks `target`.
 
     Online largest-remainder apportionment: at step t play the pair with
     the largest deficit w * t - count, lowest index on ties.  The running
     average stays within O(mn/t) of the target in L1.
     """
-    if T < 1:
-        raise InvalidInput("schedule horizon must be positive")
     w = target.weights
     counts = np.zeros(w.size)
-    out = np.zeros(T, dtype=int)
-    for t in range(1, T + 1):
-        deficit = w * t - counts
-        p = int(np.argmax(deficit))
-        out[t - 1] = p
+    t = 0
+    while True:
+        t += 1
+        p = int(np.argmax(w * t - counts))
         counts[p] += 1.0
-    return out
+        yield p
+
+
+def schedule_for(target: Csp, T: int, m: int, n: int) -> np.ndarray:
+    """The first T pairs of `schedule_pairs(target)` as an array."""
+    if T < 1:
+        raise InvalidInput("schedule horizon must be positive")
+    return np.fromiter(islice(schedule_pairs(target), T), dtype=int, count=T)
 
 
 def pair_to_actions(pair: int, m: int, n: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -37,6 +37,22 @@ def test_simplex_lattice_count_and_order():
     assert np.allclose(pts.sum(axis=1), 1.0)
 
 
+def reference_lattice(dim, D):
+    """Recursive enumeration: leading coordinate from D down to 0."""
+    if dim == 1:
+        return [[D]]
+    return [[v] + rest for v in range(D, -1, -1) for rest in reference_lattice(dim - 1, D - v)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("D", [1, 2, 3, 7, 12])
+def test_simplex_lattice_matches_recursive_enumeration(dim, D):
+    ref = np.array(reference_lattice(dim, D), dtype=float) / D
+    got = simplex_lattice(dim, D)
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref)
+
+
 def test_direction_net_covers_in_l1():
     rng = np.random.default_rng(30)
     for dim in (1, 2, 3):
