@@ -56,18 +56,10 @@ from .approachability import (
 )
 from .nr_commitment import NoRegretCommitment, nsr_baseline_value, optimal_no_regret_commitment
 from .general_commitment import GeneralCommitment, eval_menu_value, optimize_general
-from .maximin import (
-    HedgeState,
-    MaximinRun,
-    blackwell_abort_step,
-    hedge_update,
-    run_blackwell_abort,
-    run_maximin,
-    threshold_assignment,
-)
+from .maximin import ForcingState, MaximinRun, run_blackwell_abort, run_maximin, threshold_assignment
 from .playback import (
+    ComposedAbortableLearner,
     SimReport,
-    compose_abortable,
     optimizer_best_response_policy,
     realize_menu_learner,
     schedule_for,

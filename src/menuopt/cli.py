@@ -249,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--adversary",
         default="bestresponse",
         choices=sorted(maximin.ADVERSARIES),
+        help="bestresponse is an alias of schedule",
     )
 
     p = add("check-menu", cmd_check_menu)
@@ -259,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learner", default="commit-nr", choices=["commit-nr", "commit-general"])
     p.add_argument("--type", type=int, default=0)
     p.add_argument("--T", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0, help="enters inputs_digest only; simulate draws no randomness"
+    )
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--stream", action="store_true", help="emit per-round JSON lines")

@@ -23,26 +23,9 @@ _SLACK = 1e-9
 _SCHEDULE_WRAP = 100_000  # rounds after which the schedule adversary starts over
 
 
-@dataclass(frozen=True)
-class HedgeState:
-    """Exponential weights over the k type constraints, anytime rate.
-
-    weights are proportional to exp(eta_t * cumulative) with
-    eta_t = sqrt(ln k / t) / (2 * p_max); rewards live in
-    [-2 p_max, 2 p_max], hence the normalization.
-    """
-
-    p: np.ndarray
-    t: int
-    cumulative: np.ndarray
-    p_max: float
-
-    @staticmethod
-    def fresh(k: int, p_max: float) -> "HedgeState":
-        return HedgeState(np.full(k, 1.0 / k), 0, np.zeros(k), p_max)
-
-
 def hedge_weights(cumulative: np.ndarray, t: int, p_max: float) -> np.ndarray:
+    """Weights proportional to exp(eta_t * cumulative), with the anytime rate
+    eta_t = sqrt(ln k / t) / (2 * p_max) for rewards in [-2 p_max, 2 p_max]."""
     k = cumulative.size
     if k == 1 or t == 0:
         return np.full(k, 1.0 / k)
@@ -53,61 +36,46 @@ def hedge_weights(cumulative: np.ndarray, t: int, p_max: float) -> np.ndarray:
     return w / w.sum()
 
 
-def hedge_update(
-    state: HedgeState,
-    x_t: np.ndarray,
-    y_t: np.ndarray,
-    assignment: CspAssignment,
-    game: BimatrixGame,
-) -> HedgeState:
-    """Feed the per-type constraint rewards u_{O,i}(x,y) - u_{O,i}(phi_i)."""
-    c = candidate_utility_set(assignment, 0.0, game).thresholds
-    r = np.array([float(x_t @ game.u_O(i) @ y_t) - c[i] for i in range(game.k)])
-    cum = state.cumulative + r
-    t = state.t + 1
-    return HedgeState(hedge_weights(cum, t, state.p_max), t, cum, state.p_max)
+class ForcingState:
+    """Hedge-weighted halfspace forcing against one candidate menu.
 
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Either an action to play or an abort certificate, never both."""
-
-    action: Optional[np.ndarray] = None
-    certificate: Optional[np.ndarray] = None
-
-    @property
-    def aborted(self) -> bool:
-        return self.certificate is not None
-
-
-def _step_action(p: np.ndarray, uo: np.ndarray, c: np.ndarray, n: int):
-    """Shared per-round solve: action x, or None when only aborting remains."""
-    omega = np.tensordot(p, uo, axes=(0, 0))
-    kappa = float(p @ c)
-    if n == 2:
-        val, x = lp.minmax_rows_by_2(omega)
-    else:
-        val, x, _ = lp.zero_sum_value(omega)
-    if val <= kappa + _SLACK:
-        return x, omega
-    return None, omega
-
-
-def blackwell_abort_step(
-    state: HedgeState, assignment: CspAssignment, game: BimatrixGame
-) -> StepOutcome:
-    """One round: find x keeping every opponent mix inside the weighted cap.
-
-    Solves for x with sum_i p_i (u_{O,i}(x, y) - c_i) <= 0 for all y
-    (pure y suffice by linearity).  When no such x exists the dual mix y*
-    certifies that the candidate menu is not response-satisfiable.
+    act() seeks x with sum_i p_i (u_{O,i}(x, y) - c_i) <= 0 for every
+    opponent mix y (pure y suffice by linearity); when none exists, the
+    dual mix y* of certificate() refutes response satisfiability of the
+    menu and aborting is the only move left.
     """
-    c = candidate_utility_set(assignment, 0.0, game).thresholds
-    x, omega = _step_action(state.p, game.opponent_payoffs, c, game.n)
-    if x is not None:
-        return StepOutcome(action=x)
-    _, _, y = lp.zero_sum_value(omega)
-    return StepOutcome(certificate=y)
+
+    def __init__(self, game: BimatrixGame, assignment: CspAssignment):
+        self.game = game
+        self.assignment = assignment
+        self.c = candidate_utility_set(assignment, 0.0, game).thresholds
+        self.p = np.full(game.k, 1.0 / game.k)
+        self.t = 0
+        self.cumulative = np.zeros(game.k)
+
+    def _omega(self) -> np.ndarray:
+        return np.tensordot(self.p, self.game.opponent_payoffs, axes=(0, 0))
+
+    def act(self) -> Optional[np.ndarray]:
+        """The round's action x, or None when only aborting remains."""
+        omega = self._omega()
+        if self.game.n == 2:
+            val, x = lp.minmax_rows_by_2(omega)
+        else:
+            val, x, _ = lp.zero_sum_value(omega)
+        return x if val <= float(self.p @ self.c) + _SLACK else None
+
+    def certificate(self) -> np.ndarray:
+        """The opponent mix that refutes the menu at the current weights."""
+        return lp.zero_sum_value(self._omega())[2]
+
+    def observe(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Feed the rewards u_{O,i}(x, y) - c_i; returns them."""
+        r = np.einsum("i,kij,j->k", x, self.game.opponent_payoffs, y) - self.c
+        self.cumulative = self.cumulative + r
+        self.t += 1
+        self.p = hedge_weights(self.cumulative, self.t, self.game.p_max)
+        return r
 
 
 def threshold_assignment(game: BimatrixGame, V: float) -> CspAssignment:
@@ -228,6 +196,38 @@ class BlackwellRun:
     certificate: Optional[np.ndarray]
 
 
+class _Rounds:
+    """The rounds played against one adversary, across forcing epochs."""
+
+    def __init__(self, adversary: AdversaryFn, seed: int):
+        self.adversary = adversary
+        self.rng = np.random.default_rng(seed)
+        self.xs: List[np.ndarray] = []
+        self.ys: List[np.ndarray] = []
+        self.rewards: List[np.ndarray] = []
+
+    def play_epoch(self, state: ForcingState, V: float, epoch_index: int, T: int) -> int:
+        """Plays on from the next round until the state aborts or round T.
+
+        Returns the round it stopped at: T, or the round it aborted in.
+        """
+        start = len(self.xs)
+        for t in range(start, T):
+            x = state.act()
+            if x is None:
+                return t
+            view = EpochView(state.game, V, state.assignment, t - start, state.p, epoch_index)
+            y = self.adversary(view, self.rng)
+            self.xs.append(x)
+            self.ys.append(y)
+            self.rewards.append(state.observe(x, y))
+        return T
+
+    def arrays(self, game: BimatrixGame) -> Tuple[Transcript, np.ndarray]:
+        transcript = Transcript(np.reshape(self.xs, (-1, game.m)), np.reshape(self.ys, (-1, game.n)))
+        return transcript, np.reshape(self.rewards, (-1, game.k))
+
+
 def run_blackwell_abort(
     game: BimatrixGame,
     assignment: CspAssignment,
@@ -237,32 +237,15 @@ def run_blackwell_abort(
     V: float = float("nan"),
 ) -> BlackwellRun:
     """Drive one abortable run for up to T rounds against an adversary."""
-    rng = np.random.default_rng(seed)
-    state = HedgeState.fresh(game.k, game.p_max)
-    uo = game.opponent_payoffs
-    xs, ys, rows = [], [], []
-    c = candidate_utility_set(assignment, 0.0, game).thresholds
-    for t in range(T):
-        x, omega = _step_action(state.p, uo, c, game.n)
-        if x is None:
-            _, _, y_cert = lp.zero_sum_value(omega)
-            return BlackwellRun(
-                Transcript(np.array(xs).reshape(len(xs), game.m), np.array(ys).reshape(len(ys), game.n)),
-                np.array(rows).reshape(len(rows), game.k),
-                aborted_at=t,
-                certificate=y_cert,
-            )
-        view = EpochView(game, V, assignment, t, state.p, 0)
-        y = adversary(view, rng)
-        xs.append(x)
-        ys.append(y)
-        r = np.einsum("i,kij,j->k", x, uo, y) - c
-        rows.append(r)
-        cum = state.cumulative + r
-        state = HedgeState(hedge_weights(cum, state.t + 1, state.p_max), state.t + 1, cum, state.p_max)
-    return BlackwellRun(
-        Transcript(np.array(xs), np.array(ys)), np.array(rows), aborted_at=None, certificate=None
-    )
+    if T < 1:
+        raise InvalidInput("horizon must be at least one round")
+    state = ForcingState(game, assignment)
+    rounds = _Rounds(adversary, seed)
+    t = rounds.play_epoch(state, V, 0, T)
+    transcript, rewards = rounds.arrays(game)
+    if t == T:
+        return BlackwellRun(transcript, rewards, aborted_at=None, certificate=None)
+    return BlackwellRun(transcript, rewards, aborted_at=t, certificate=state.certificate())
 
 
 @dataclass(frozen=True)
@@ -295,45 +278,24 @@ def run_maximin(
         raise InvalidInput("horizon must be at least one round")
     if eps <= 0:
         raise InvalidInput("eps must be positive")
-    rng = np.random.default_rng(seed)
+    rounds = _Rounds(adversary, seed)
     V = float(np.max(game.u_L))
     assignment = threshold_assignment(game, V)
-    state = HedgeState.fresh(game.k, game.p_max)
-    c = candidate_utility_set(assignment, 0.0, game).thresholds
-    xs: List[np.ndarray] = []
-    ys: List[np.ndarray] = []
-    rows: List[np.ndarray] = []
     epochs: List[EpochRecord] = [EpochRecord(V, 0, assignment)]
     abort_count = 0
-    epoch_start = 0
     floor = float(np.min(game.u_L))
-    uo = game.opponent_payoffs
-    t = 0
-    while t < T:
-        x, _ = _step_action(state.p, uo, c, game.n)
-        if x is None:
-            abort_count += 1
-            V -= eps
-            if V < floor - eps:  # cannot happen for valid games; safety stop
-                break
-            assignment = threshold_assignment(game, max(V, floor))
-            c = candidate_utility_set(assignment, 0.0, game).thresholds
-            state = HedgeState.fresh(game.k, game.p_max)
-            epoch_start = t
-            epochs.append(EpochRecord(V, t, assignment))
-            continue
-        view = EpochView(game, V, assignment, t - epoch_start, state.p, len(epochs) - 1)
-        y = adversary(view, rng)
-        xs.append(x)
-        ys.append(y)
-        r = np.einsum("i,kij,j->k", x, uo, y) - c
-        rows.append(r)
-        cum = state.cumulative + r
-        state = HedgeState(hedge_weights(cum, state.t + 1, state.p_max), state.t + 1, cum, state.p_max)
-        t += 1
-    transcript = Transcript(
-        np.array(xs).reshape(len(xs), game.m), np.array(ys).reshape(len(ys), game.n)
-    )
+    while True:
+        t = rounds.play_epoch(ForcingState(game, assignment), V, len(epochs) - 1, T)
+        if t == T:
+            break
+        abort_count += 1
+        V -= eps
+        if V < floor - eps:  # cannot happen for valid games; safety stop
+            break
+        assignment = threshold_assignment(game, max(V, floor))
+        epochs.append(EpochRecord(V, t, assignment))
+    transcript, rewards = rounds.arrays(game)
+    xs, ys = rounds.xs, rounds.ys
     if xs:
         per_type = np.array(
             [float(np.mean([x @ game.u_O(i) @ y for x, y in zip(xs, ys)])) for i in range(game.k)]
@@ -349,5 +311,5 @@ def run_maximin(
         learner_avg=learner_avg,
         abort_count=abort_count,
         epochs=tuple(epochs),
-        rewards=np.array(rows).reshape(len(rows), game.k),
+        rewards=rewards,
     )

@@ -49,6 +49,12 @@ class HalfspaceMenu:
     def dim(self) -> int:
         return self.normals.shape[1]
 
+    def violation(self, w: np.ndarray) -> float:
+        """max(0, worst constraint violation of the profile weights w)."""
+        if self.n_constraints == 0:
+            return 0.0
+        return float(max(0.0, np.max(self.normals @ w - self.rhs)))
+
     def relaxed(self, eps: float) -> "HalfspaceMenu":
         return HalfspaceMenu(self.normals, self.rhs + eps)
 
@@ -200,8 +206,6 @@ def response_satisfiable_at(
 
 def menu_violation(phi: Csp, menu: HalfspaceMenu) -> float:
     """max(0, worst constraint violation of phi); zero iff phi is inside."""
-    if menu.n_constraints == 0:
-        return 0.0
-    if menu.dim != phi.weights.size:
+    if menu.n_constraints and menu.dim != phi.weights.size:
         raise InvalidInput("profile dimension does not match the menu")
-    return float(max(0.0, np.max(menu.normals @ phi.weights - menu.rhs)))
+    return menu.violation(phi.weights)

@@ -18,8 +18,8 @@ import numpy as np
 from . import lp
 from .core import BimatrixGame, Csp, CspAssignment, Transcript, bilinear_value
 from .errors import EmptyMenu, InvalidInput, InvalidTarget
-from .maximin import HedgeState, blackwell_abort_step, hedge_weights
-from .menus import HalfspaceMenu, candidate_utility_set, menu_violation
+from .maximin import ForcingState
+from .menus import HalfspaceMenu, menu_violation
 
 
 def schedule_pairs(target: Csp) -> Iterator[int]:
@@ -158,25 +158,13 @@ class BlackwellAbortPolicy(LearnerPolicy):
         self.assignment = assignment
 
     def reset(self, game: BimatrixGame, T: int, chosen_target: Optional[int]) -> None:
-        self.game = game
-        self.state = HedgeState.fresh(game.k, game.p_max)
-        self.thresholds = candidate_utility_set(self.assignment, 0.0, game).thresholds
+        self.state = ForcingState(game, self.assignment)
 
     def act(self, t: int) -> Optional[np.ndarray]:
-        step = blackwell_abort_step(self.state, self.assignment, self.game)
-        return None if step.aborted else step.action
+        return self.state.act()
 
     def observe(self, t: int, x: np.ndarray, y: np.ndarray) -> None:
-        r = np.array(
-            [float(x @ self.game.u_O(i) @ y) - self.thresholds[i] for i in range(self.game.k)]
-        )
-        cum = self.state.cumulative + r
-        self.state = HedgeState(
-            hedge_weights(cum, self.state.t + 1, self.state.p_max),
-            self.state.t + 1,
-            cum,
-            self.state.p_max,
-        )
+        self.state.observe(x, y)
 
 
 class ComposedAbortableLearner(LearnerPolicy):
@@ -188,7 +176,6 @@ class ComposedAbortableLearner(LearnerPolicy):
         self.subpolicies = list(subpolicies)
 
     def reset(self, game: BimatrixGame, T: int, chosen_target: Optional[int]) -> None:
-        self.game, self.T, self.chosen = game, T, chosen_target
         self.active = 0
         self.epoch_starts = [0]
         for p in self.subpolicies:
@@ -206,10 +193,6 @@ class ComposedAbortableLearner(LearnerPolicy):
 
     def observe(self, t: int, x: np.ndarray, y: np.ndarray) -> None:
         self.subpolicies[self.active].observe(t, x, y)
-
-
-def compose_abortable(subpolicies: Sequence[LearnerPolicy], T: int) -> ComposedAbortableLearner:
-    return ComposedAbortableLearner(subpolicies)
 
 
 class SchedulePolicy(OpponentPolicy):
@@ -337,6 +320,8 @@ def simulate(
     """Full-information round loop; deterministic given the policies."""
     if T < 1:
         raise InvalidInput("horizon must be positive")
+    if menu is not None and menu.n_constraints and menu.dim != game.m * game.n:
+        raise InvalidInput("profile dimension does not match the menu")
     learner.reset(game, T, chosen_target)
     opponent.reset(game, T)
     xs = np.zeros((T, game.m))
@@ -357,7 +342,7 @@ def simulate(
             on_round(t, x, y)
         avg += np.outer(x, y).ravel()
         if menu is not None:
-            viol = menu_violation(Csp(np.maximum(avg / (t + 1), 0.0)), menu)
+            viol = menu.violation(np.maximum(avg / (t + 1), 0.0))
             max_viol = max(max_viol, viol)
     transcript = Transcript(xs, ys)
     final = transcript.running_csp

@@ -43,8 +43,8 @@ from menuopt.menus import (
 )
 from menuopt.nr_commitment import nsr_baseline_value, optimal_no_regret_commitment
 from menuopt.playback import (
+    ComposedAbortableLearner,
     FixedMixPolicy,
-    compose_abortable,
     optimizer_best_response_policy,
     realize_menu_learner,
     simulate,
@@ -449,7 +449,7 @@ def test_criterion_7g_composition_identity():
     a = Csp.point_mass(2, 0, 3, 2)
     b = Csp.point_mass(0, 1, 3, 2)
     T = 600
-    learner = compose_abortable([AbortAfter(a, abort_at=T // 3), AbortAfter(b)], T)
+    learner = ComposedAbortableLearner([AbortAfter(a, abort_at=T // 3), AbortAfter(b)])
     rep = simulate(game, learner, FixedMixPolicy(np.array([1.0, 0.0])), T)
     # final profile is exactly the epoch-length-weighted mix of epoch profiles
     xs, ys = rep.transcript.xs, rep.transcript.ys

@@ -9,9 +9,7 @@ from menuopt.core import BimatrixGame, Csp, CspAssignment, bilinear_value
 from menuopt.errors import ThresholdInfeasible
 from menuopt.maximin import (
     EpochView,
-    HedgeState,
-    blackwell_abort_step,
-    hedge_update,
+    ForcingState,
     hedge_weights,
     make_aborter_adversary,
     make_schedule_adversary,
@@ -73,12 +71,12 @@ def test_step_never_aborts_on_argmax_assignment():
         w = np.zeros(4)
         w[int(np.argmax(game.u_O(0).ravel()))] = 1.0
         assign = CspAssignment((Csp(w),))
-        state = HedgeState.fresh(1, game.p_max)
+        state = ForcingState(game, assign)
         for _ in range(5):
-            step = blackwell_abort_step(state, assign, game)
-            assert not step.aborted
+            x = state.act()
+            assert x is not None
             y = rng.dirichlet(np.ones(2))
-            state = hedge_update(state, step.action, y, assign, game)
+            state.observe(x, y)
 
 
 def test_step_aborts_below_cap_immediately():
@@ -97,34 +95,34 @@ def test_step_aborts_below_cap_immediately():
         w[int(np.argmax(u))] = lam
         w[int(np.argmin(u))] = 1.0 - lam
         assign = CspAssignment((Csp(w),))
-        step = blackwell_abort_step(HedgeState.fresh(1, game.p_max), assign, game)
-        assert step.aborted
+        state = ForcingState(game, assign)
+        assert state.act() is None
         # the abort certificate refutes response satisfiability outright
         menu = candidate_menu(assign, 0.0, game)
-        assert response_satisfiable_at(menu, step.certificate, game) is None
+        assert response_satisfiable_at(menu, state.certificate(), game) is None
     assert found >= 8
 
 
 def test_step_plays_on_g1_level5_assignment(g1):
     assign = threshold_assignment(g1, 5.0)
     assert test_assignment_valid(assign, g1, 0.05).approachable
-    state = HedgeState.fresh(1, g1.p_max)
+    state = ForcingState(g1, assign)
     rng = np.random.default_rng(84)
     for _ in range(20):
-        step = blackwell_abort_step(state, assign, g1)
-        assert not step.aborted
-        state = hedge_update(state, step.action, rng.dirichlet(np.ones(2)), assign, g1)
+        x = state.act()
+        assert x is not None
+        state.observe(x, rng.dirichlet(np.ones(2)))
 
 
 def test_hedge_zero_reward_keeps_weights(g1):
     assign = threshold_assignment(g1, 5.0)
-    state = HedgeState.fresh(1, g1.p_max)
     c = candidate_utility_set(assign, 0.0, g1).thresholds
     # engineered x, y with u_O(x, y) equal to the threshold -> zero reward
-    state2 = HedgeState(np.array([1.0]), 7, np.zeros(1), g1.p_max)
-    new = hedge_update(state2, np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0]), assign, g1)
-    assert new.cumulative[0] == pytest.approx(3.0 - c[0])  # u_O(C,R)=3=c
-    assert np.allclose(new.p, [1.0])
+    state = ForcingState(g1, assign)
+    state.t = 7
+    state.observe(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0]))
+    assert state.cumulative[0] == pytest.approx(3.0 - c[0])  # u_O(C,R)=3=c
+    assert np.allclose(state.p, [1.0])
 
 
 def test_hedge_state_matches_closed_form():
@@ -269,14 +267,15 @@ def test_fast_step_matches_public_step():
         assign = CspAssignment(
             tuple(Csp(rng.dirichlet(np.ones(6))) for _ in range(2))
         )
-        state = HedgeState(rng.dirichlet(np.ones(2)), 5, rng.uniform(-1, 1, 2), game.p_max)
-        fast = blackwell_abort_step(state, assign, game)
+        state = ForcingState(game, assign)
+        state.p, state.t, state.cumulative = rng.dirichlet(np.ones(2)), 5, rng.uniform(-1, 1, 2)
+        action = state.act()
         # generic-path reference: solve the weighted game exactly
         omega = np.tensordot(state.p, game.opponent_payoffs, axes=(0, 0))
         c = candidate_utility_set(assign, 0.0, game).thresholds
         val, x, y = lp.zero_sum_value(omega)
         kappa = float(state.p @ c)
-        assert fast.aborted == (val > kappa + 1e-9)
-        if not fast.aborted:
-            worst = float(np.max(fast.action @ omega))
+        assert (action is None) == (val > kappa + 1e-9)
+        if action is not None:
+            worst = float(np.max(action @ omega))
             assert worst <= kappa + 1e-8

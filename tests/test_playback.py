@@ -17,11 +17,11 @@ from menuopt.menus import (
 from menuopt.nr_commitment import optimal_no_regret_commitment
 from menuopt.playback import (
     BlackwellAbortPolicy,
+    ComposedAbortableLearner,
     FixedMixPolicy,
     LearnerPolicy,
     OpponentPolicy,
     SchedulePolicy,
-    compose_abortable,
     optimizer_best_response_policy,
     pair_to_actions,
     realize_menu_learner,
@@ -251,7 +251,7 @@ def test_compose_single_policy_identity(g1):
     phi = Csp.point_mass(2, 0, 3, 2)
     solo = simulate(g1, AbortAfter(phi), FixedMixPolicy(np.array([1.0, 0.0])), 300)
     composed = simulate(
-        g1, compose_abortable([AbortAfter(phi)], 300), FixedMixPolicy(np.array([1.0, 0.0])), 300
+        g1, ComposedAbortableLearner([AbortAfter(phi)]), FixedMixPolicy(np.array([1.0, 0.0])), 300
     )
     assert np.array_equal(solo.transcript.xs, composed.transcript.xs)
 
@@ -260,7 +260,7 @@ def test_compose_two_policies_average_csps(g1):
     a = Csp.point_mass(2, 0, 3, 2)  # (C, R)
     b = Csp.point_mass(0, 1, 3, 2)  # (A, S)
     T = 400
-    learner = compose_abortable([AbortAfter(a, abort_at=T // 2), AbortAfter(b)], T)
+    learner = ComposedAbortableLearner([AbortAfter(a, abort_at=T // 2), AbortAfter(b)])
     report = simulate(g1, learner, FixedMixPolicy(np.array([1.0, 0.0])), T)
     # exact convex split between the two epochs' schedules
     w = report.final_csp.weights
@@ -286,7 +286,7 @@ def test_compose_replays_maximin_run(g1):
             self.t += 1
 
     policies = [BlackwellAbortPolicy(e.assignment) for e in run.epochs]
-    learner = compose_abortable(policies, T)
+    learner = ComposedAbortableLearner(policies)
     report = simulate(g1, learner, ReplayOpponent(), len(run.transcript.xs))
-    assert np.allclose(report.transcript.xs, run.transcript.xs, atol=1e-12)
+    assert np.array_equal(report.transcript.xs, run.transcript.xs)
     assert [e.start_round for e in run.epochs] == [0] + learner.epoch_starts[1:]
