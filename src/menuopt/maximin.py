@@ -48,13 +48,16 @@ class ForcingState:
     def __init__(self, game: BimatrixGame, assignment: CspAssignment):
         self.game = game
         self.assignment = assignment
+        # BimatrixGame computes both properties afresh on every access
+        self.uo = game.opponent_payoffs
+        self.p_max = game.p_max
         self.c = candidate_utility_set(assignment, 0.0, game).thresholds
         self.p = np.full(game.k, 1.0 / game.k)
         self.t = 0
         self.cumulative = np.zeros(game.k)
 
     def _omega(self) -> np.ndarray:
-        return np.tensordot(self.p, self.game.opponent_payoffs, axes=(0, 0))
+        return np.tensordot(self.p, self.uo, axes=(0, 0))
 
     def act(self) -> Optional[np.ndarray]:
         """The round's action x, or None when only aborting remains."""
@@ -71,10 +74,10 @@ class ForcingState:
 
     def observe(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Feed the rewards u_{O,i}(x, y) - c_i; returns them."""
-        r = np.einsum("i,kij,j->k", x, self.game.opponent_payoffs, y) - self.c
+        r = np.einsum("i,kij,j->k", x, self.uo, y) - self.c
         self.cumulative = self.cumulative + r
         self.t += 1
-        self.p = hedge_weights(self.cumulative, self.t, self.game.p_max)
+        self.p = hedge_weights(self.cumulative, self.t, self.p_max)
         return r
 
 
