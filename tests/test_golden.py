@@ -4,6 +4,13 @@ Each case runs one command in-process from inside tests/golden, so that
 the assignment paths hashed into `inputs_digest` are bare file names. To
 record a new case, add it to CASES and write its stdout to
 tests/golden/<name>.out from a build whose output is known to be right.
+A case ends with exit code 0 unless EXIT_CODES names another; a command
+that fails is pinned with its exit code and its error document.
+
+The seeded games g7000-<m><n><k>.json are
+`random_game(default_rng([7000, m, n, k]), m, n, k)` from conftest.py;
+g5533.json is `random_game(default_rng([5, 5, 3, 3]), 5, 5, 3)`, on
+which the LP kernel ends the commitment program infeasible.
 """
 
 from pathlib import Path
@@ -14,6 +21,7 @@ from menuopt import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 G1 = "../../demos/games/g1.json"
+SEEDED = ["g7000-222", "g7000-232", "g7000-322", "g7000-333", "g7000-443"]
 
 CASES = {
     "commit-general-g1": ["commit-general", "--game", G1, "--eps", "0.05"],
@@ -26,11 +34,23 @@ CASES = {
     "maximin-random-g332": ["maximin", "--game", "g332.json", "--adversary", "random", "--T", "600"],
     "simulate-stream-g1": ["simulate", "--game", G1, "--T", "30", "--stream"],
     "simulate-commit-general-g1": ["simulate", "--game", G1, "--learner", "commit-general", "--T", "2000"],
+    "commit-nr-g1": ["commit-nr", "--game", G1],
+    "stackelberg-g1": ["stackelberg", "--game", G1],
+    "oracle-nr-g1": ["oracle", "nr", "--game", G1],
+    "oracle-maximin-g7000-222": ["oracle", "maximin", "--game", "g7000-222.json"],
+    "commit-nr-g5533": ["commit-nr", "--game", "g5533.json"],
 }
+for _g in SEEDED:
+    CASES[f"commit-nr-{_g}"] = ["commit-nr", "--game", f"{_g}.json"]
+    CASES[f"stackelberg-{_g}"] = ["stackelberg", "--game", f"{_g}.json"]
+for _g in SEEDED[:3]:  # the grid oracle caps k=3 lattices
+    CASES[f"oracle-nr-{_g}"] = ["oracle", "nr", "--game", f"{_g}.json"]
+
+EXIT_CODES = {"commit-nr-g5533": 3}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
-    assert cli.run(CASES[name]) == 0
+    assert cli.run(CASES[name]) == EXIT_CODES.get(name, 0)
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
