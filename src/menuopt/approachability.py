@@ -26,13 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil, comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from . import lp
 from .core import BimatrixGame, Csp, CspAssignment
-from .errors import CertificateInvalid, GridTooLarge, InvalidInput
+from .errors import CertificateInvalid, GridTooLarge, InvalidInput, NumericalFailure
 from .menus import candidate_utility_set
 
 _NET_CAP = 2_000_000  # refuse absurd nets instead of hanging
@@ -255,27 +255,15 @@ def separator_for_thresholds(
 def _lexicographic_h(G: np.ndarray, margin: float) -> np.ndarray:
     """Lexicographically refine h over {h in simplex : G^T h >= margin}."""
     k, m = G.shape
-    fixed: List[Tuple[int, float]] = []
-    h = np.zeros(k)
-    for lead in range(k):
-        cons = [(np.ones(k), lp.EQ, 1.0)]
-        for i in range(k):
-            e = np.zeros(k)
-            e[i] = 1.0
-            cons.append((e, lp.GE, 0.0))
-        for col in range(m):
-            cons.append((G[:, col], lp.GE, margin - 1e-9))
-        for idx, val in fixed:
-            e = np.zeros(k)
-            e[idx] = 1.0
-            cons.append((e, lp.GE, val - 1e-9))
-        obj = np.zeros(k)
-        obj[lead] = 1.0
-        sol = lp.solve_lp(lp.LinearProgram(obj, cons))
-        if not sol.is_optimal:
-            raise CertificateInvalid("lexicographic refinement lost feasibility")
-        fixed.append((lead, sol.objective_value))
-        h = np.maximum(sol.point, 0.0)
+    cons = lp.simplex_rows(k)
+    for col in range(m):
+        cons.append((G[:, col], lp.GE, margin - 1e-9))
+    stages = lp.solve_lexicographic(list(np.eye(k)), cons)
+    if not stages[0].is_optimal:
+        raise CertificateInvalid("lexicographic refinement lost feasibility")
+    if not stages[-1].is_optimal:
+        raise NumericalFailure("lexicographic refinement lost feasibility")
+    h = np.maximum(stages[-1].point, 0.0)
     return h / h.sum()
 
 

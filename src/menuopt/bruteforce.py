@@ -133,11 +133,7 @@ def euclidean_distance_to_polytope(point: np.ndarray, menu: HalfspaceMenu) -> fl
     if point.shape != (menu.dim,) and menu.n_constraints > 0:
         raise InvalidInput("point dimension must match the menu")
     dim = point.size
-    feas = [(np.ones(dim), lp.EQ, 1.0)]
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        feas.append((e, lp.GE, 0.0))
+    feas = lp.simplex_rows(dim)
     for c in range(menu.n_constraints):
         feas.append((menu.normals[c], lp.LE, float(menu.rhs[c])))
     if not lp.solve_lp(lp.LinearProgram(np.zeros(dim), feas)).is_optimal:
@@ -161,9 +157,10 @@ def euclidean_distance_to_polytope(point: np.ndarray, menu: HalfspaceMenu) -> fl
             yv = x + corrections[s]
             if kind == "simplex":
                 proj = project_simplex(yv)
+            elif a @ a > 0.0:
+                proj = yv - (max(0.0, a @ yv - b) / (a @ a)) * a
             else:
-                excess = a @ yv - b
-                proj = yv - (max(0.0, excess) / (a @ a)) * a
+                proj = yv  # a zero normal holds everywhere: the program above showed 0 <= b
             corrections[s] = yv - proj
             x = proj
         if np.linalg.norm(x - x_prev) < 1e-10:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -37,7 +38,9 @@ class BimatrixGame:
     """Learner payoff matrix plus k typed opponent payoff matrices.
 
     `types` holds (payoff matrix, prior probability) pairs; the prior
-    weights must be nonnegative and sum to one.
+    weights must be nonnegative and sum to one.  `alphas`,
+    `opponent_payoffs` and `p_max` are computed on first use and kept, as
+    read-only arrays; they take no part in equality or `repr`.
     """
 
     u_L: np.ndarray
@@ -81,16 +84,16 @@ class BimatrixGame:
     def k(self) -> int:
         return len(self.types)
 
-    @property
+    @cached_property
     def alphas(self) -> np.ndarray:
-        return np.array([a for _, a in self.types])
+        return _freeze([a for _, a in self.types])
 
-    @property
+    @cached_property
     def opponent_payoffs(self) -> np.ndarray:
         """All type payoff matrices stacked into shape (k, m, n)."""
-        return np.array([u for u, _ in self.types])
+        return _freeze([u for u, _ in self.types])
 
-    @property
+    @cached_property
     def p_max(self) -> float:
         """Largest absolute payoff entry; scales regret and net constants."""
         mats = [self.u_L] + [u for u, _ in self.types]

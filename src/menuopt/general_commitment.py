@@ -24,7 +24,7 @@ from .approachability import (
     water_fill_repair,
 )
 from .core import BimatrixGame, Csp, CspAssignment, assignment_value
-from .errors import EmptyMenu, InvalidInput
+from .errors import EmptyMenu, InvalidInput, NumericalFailure
 from .menus import HalfspaceMenu, candidate_menu
 
 _EQ_TOL_FRACTION = 0.01  # relax the simplex and IC rows by eps/100
@@ -48,26 +48,18 @@ def eval_menu_value(menu: HalfspaceMenu, game: BimatrixGame, eps: float) -> floa
     best profile among menu points within eps of that top.
     """
     mn = game.m * game.n
-    base = [(np.ones(mn), lp.EQ, 1.0)]
-    for j in range(mn):
-        e = np.zeros(mn)
-        e[j] = 1.0
-        base.append((e, lp.GE, 0.0))
+    base = lp.simplex_rows(mn)
     for c in range(menu.n_constraints):
         base.append((menu.normals[c], lp.LE, float(menu.rhs[c])))
-    if not lp.solve_lp(lp.LinearProgram(np.zeros(mn), base)).is_optimal:
-        raise EmptyMenu("menu does not intersect the profile simplex")
     total = 0.0
     for i in range(game.k):
-        top = lp.solve_lp(lp.LinearProgram(game.u_O(i).ravel(), base))
-        pick = lp.solve_lp(
-            lp.LinearProgram(
-                game.u_L.ravel(),
-                list(base)
-                + [(game.u_O(i).ravel(), lp.GE, top.objective_value - eps - 1e-9)],
-            )
-        )
-        total += game.alphas[i] * pick.objective_value
+        stages = lp.solve_lexicographic([game.u_O(i).ravel(), game.u_L.ravel()], base, relax=eps)
+        # Phase 1 ignores the objective, so a failed first stage means no point.
+        if not stages[0].is_optimal:
+            raise EmptyMenu("menu does not intersect the profile simplex")
+        if not stages[-1].is_optimal:
+            raise NumericalFailure("tie-breaking solve failed")
+        total += game.alphas[i] * stages[-1].objective_value
     return float(total)
 
 

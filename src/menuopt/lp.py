@@ -8,12 +8,20 @@ certified raises instead of returning a wrong status.
 
 Orientation conventions: `LinearProgram.objective` is always maximized,
 and `zero_sum_value` treats the row player as the minimizer.
+
+Two helpers give every solver module the same vocabulary.
+`simplex_rows` builds the row sum(x[lo:hi]) = 1 followed by x_j >= 0 for
+each j in [lo, hi).  `solve_lexicographic` maximizes a list of objectives
+in turn, each over the optimal face of the ones before; it implements
+the package's tie rule once: an opponent type takes its favourite point,
+and among points within relax + TIE_SLACK of that favourite the learner's
+best one is chosen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +38,9 @@ UNBOUNDED = "unbounded"
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-8
 _DUAL_TOL = 1e-7
+TIE_SLACK = 1e-9  # slack of the optimal-face row between lexicographic stages
+
+Row = Tuple[np.ndarray, str, float]  # one constraint: row . x (rel) rhs
 
 
 @dataclass(frozen=True)
@@ -44,7 +55,7 @@ class LinearProgram:
     """
 
     objective: np.ndarray
-    constraints: Sequence[Tuple[np.ndarray, str, float]]
+    constraints: Sequence[Row]
     bounds: Optional[Sequence[Tuple[Optional[float], Optional[float]]]] = None
 
 
@@ -58,6 +69,23 @@ class LpSolution:
     @property
     def is_optimal(self) -> bool:
         return self.status == OPTIMAL
+
+
+def simplex_rows(d: int, lo: int = 0, hi: Optional[int] = None) -> List[Row]:
+    """The row sum(x[lo:hi]) = 1, then x_j >= 0 for each j in [lo, hi).
+
+    Rows have length d; coordinates outside [lo, hi) get zero weight, so
+    block programs call this once per block.
+    """
+    hi = d if hi is None else hi
+    total = np.zeros(d)
+    total[lo:hi] = 1.0
+    rows = [(total, EQ, 1.0)]
+    for j in range(lo, hi):
+        e = np.zeros(d)
+        e[j] = 1.0
+        rows.append((e, GE, 0.0))
+    return rows
 
 
 def _materialize_rows(lp: LinearProgram):
@@ -230,6 +258,27 @@ def solve_lp(lp: LinearProgram, max_iters: int = 0) -> LpSolution:
     return LpSolution(OPTIMAL, x, value, dual)
 
 
+def solve_lexicographic(
+    objectives: Sequence[np.ndarray], constraints: Sequence[Row], relax: float = 0.0
+) -> List[LpSolution]:
+    """Maximize each objective in turn over the optimal face of the ones before.
+
+    After an optimal stage the row obj . x >= value - relax - TIE_SLACK is
+    appended to the constraints of the next stage.  Returns the solutions
+    of the stages run: the list ends after the first stage that is not
+    optimal, so the last entry is optimal exactly when every stage was.
+    """
+    cons = list(constraints)
+    stages = []
+    for obj in objectives:
+        sol = solve_lp(LinearProgram(obj, cons))
+        stages.append(sol)
+        if not sol.is_optimal:
+            break
+        cons.append((obj, GE, sol.objective_value - relax - TIE_SLACK))
+    return stages
+
+
 def _recover_dual(A, b, keep_rows, basis, c_std, nrows, row_sign):
     """Duals from the final basis: solve B^T y = c_B on the kept rows."""
     kept_idx = np.nonzero(keep_rows)[0]
@@ -300,11 +349,7 @@ def zero_sum_value(M: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
     for j in range(q):
         row = np.concatenate([M[:, j], [-1.0]])
         cons.append((row, LE, 0.0))
-    cons.append((np.concatenate([np.ones(p), [0.0]]), EQ, 1.0))
-    for i in range(p):
-        e = np.zeros(d)
-        e[i] = 1.0
-        cons.append((e, GE, 0.0))
+    cons += simplex_rows(d, 0, p)
     obj = np.zeros(d)
     obj[-1] = -1.0
     sol = solve_lp(LinearProgram(obj, cons))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import lp
 from .core import BimatrixGame, Csp, CspAssignment, Transcript
-from .errors import InvalidInput, ThresholdInfeasible
+from .errors import InvalidInput, NumericalFailure, ThresholdInfeasible
 from .menus import candidate_utility_set
 
 _SLACK = 1e-9
@@ -48,16 +48,13 @@ class ForcingState:
     def __init__(self, game: BimatrixGame, assignment: CspAssignment):
         self.game = game
         self.assignment = assignment
-        # BimatrixGame computes both properties afresh on every access
-        self.uo = game.opponent_payoffs
-        self.p_max = game.p_max
         self.c = candidate_utility_set(assignment, 0.0, game).thresholds
         self.p = np.full(game.k, 1.0 / game.k)
         self.t = 0
         self.cumulative = np.zeros(game.k)
 
     def _omega(self) -> np.ndarray:
-        return np.tensordot(self.p, self.uo, axes=(0, 0))
+        return np.tensordot(self.p, self.game.opponent_payoffs, axes=(0, 0))
 
     def act(self) -> Optional[np.ndarray]:
         """The round's action x, or None when only aborting remains."""
@@ -74,10 +71,10 @@ class ForcingState:
 
     def observe(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Feed the rewards u_{O,i}(x, y) - c_i; returns them."""
-        r = np.einsum("i,kij,j->k", x, self.uo, y) - self.c
+        r = np.einsum("i,kij,j->k", x, self.game.opponent_payoffs, y) - self.c
         self.cumulative = self.cumulative + r
         self.t += 1
-        self.p = hedge_weights(self.cumulative, self.t, self.p_max)
+        self.p = hedge_weights(self.cumulative, self.t, self.game.p_max)
         return r
 
 
@@ -91,23 +88,16 @@ def threshold_assignment(game: BimatrixGame, V: float) -> CspAssignment:
     mn = game.m * game.n
     if V > float(np.max(game.u_L)) + _SLACK:
         raise ThresholdInfeasible(f"no profile attains learner value {V}")
-    base = [(np.ones(mn), lp.EQ, 1.0), (game.u_L.ravel(), lp.GE, float(V))]
-    for j in range(mn):
-        e = np.zeros(mn)
-        e[j] = 1.0
-        base.append((e, lp.GE, 0.0))
+    simplex = lp.simplex_rows(mn)
+    base = [simplex[0], (game.u_L.ravel(), lp.GE, float(V))] + simplex[1:]
     profiles = []
     for i in range(game.k):
-        top = lp.solve_lp(lp.LinearProgram(game.u_O(i).ravel(), base))
-        if not top.is_optimal:
+        stages = lp.solve_lexicographic([game.u_O(i).ravel(), game.u_L.ravel()], base)
+        if not stages[0].is_optimal:
             raise ThresholdInfeasible(f"level set at {V} is empty")
-        tie = lp.solve_lp(
-            lp.LinearProgram(
-                game.u_L.ravel(),
-                list(base) + [(game.u_O(i).ravel(), lp.GE, top.objective_value - _SLACK)],
-            )
-        )
-        w = np.maximum(tie.point, 0.0)
+        if not stages[-1].is_optimal:
+            raise NumericalFailure("tie-breaking solve failed")
+        w = np.maximum(stages[-1].point, 0.0)
         profiles.append(Csp(w / w.sum()))
     return CspAssignment(tuple(profiles))
 

@@ -192,11 +192,7 @@ def response_satisfiable_at(
         # normal . (x (x) y) = x . (N @ y) for the reshaped normal N.
         w = menu.normals[c].reshape(m, n) @ y
         cons.append((w, lp.LE, float(menu.rhs[c])))
-    cons.append((np.ones(m), lp.EQ, 1.0))
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        cons.append((e, lp.GE, 0.0))
+    cons += lp.simplex_rows(m)
     sol = lp.solve_lp(lp.LinearProgram(np.zeros(m), cons))
     if not sol.is_optimal:
         return None

@@ -17,11 +17,10 @@ import numpy as np
 
 from . import lp
 from .core import BimatrixGame, Csp, CspAssignment
-from .errors import InvalidInput
+from .errors import EmptyMenu, InvalidInput
+from .general_commitment import eval_menu_value
 from .menus import HalfspaceMenu, no_regret_menu, no_swap_regret_menu
 from .stackelberg import type_leader_values
-
-_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -41,13 +40,7 @@ def _assignment_lp_rows(game: BimatrixGame, v: np.ndarray):
     cons = []
     for i in range(k):
         block = slice(i * mn, (i + 1) * mn)
-        row = np.zeros(d)
-        row[block] = 1.0
-        cons.append((row, lp.EQ, 1.0))
-        for j in range(mn):
-            e = np.zeros(d)
-            e[i * mn + j] = 1.0
-            cons.append((e, lp.GE, 0.0))
+        cons += lp.simplex_rows(d, i * mn, (i + 1) * mn)
         for c in range(nr.n_constraints):
             row = np.zeros(d)
             row[block] = nr.normals[c]
@@ -104,18 +97,16 @@ def optimal_no_regret_commitment(
         point = first.point[:d]
         value = first.objective_value
     elif objective == "expected":
-        first = lp.solve_lp(lp.LinearProgram(obj, cons))
-        if not first.is_optimal:
-            raise lp.NumericalFailure(f"commitment program ended {first.status}")
-        value = first.objective_value
-
         tie_obj = np.zeros(d)
         for i in range(k):
             tie_obj[i * mn : (i + 1) * mn] = game.u_O(i).ravel()
-        second = lp.solve_lp(
-            lp.LinearProgram(tie_obj, list(cons) + [(obj, lp.GE, value - _SLACK)])
-        )
-        point = second.point if second.is_optimal else first.point
+        stages = lp.solve_lexicographic([obj, tie_obj], cons)
+        first = stages[0]
+        if not first.is_optimal:
+            raise lp.NumericalFailure(f"commitment program ended {first.status}")
+        value = first.objective_value
+        # A failed tie-break keeps the value-optimal first-stage point.
+        point = stages[-1].point if stages[-1].is_optimal else first.point
     else:
         raise InvalidInput(f"unknown objective {objective!r}")
     profiles = []
@@ -135,32 +126,11 @@ def optimal_no_regret_commitment(
 def nsr_baseline_value(game: BimatrixGame) -> float:
     """Learner value of committing to any no-swap-regret algorithm.
 
-    Each type picks its favorite point of the no-swap-regret polytope,
-    breaking ties in the learner's favor: per type, one program finds the
-    type's top utility there and a second maximizes the learner's payoff
-    among those top points.
+    This is the menu value of the no-swap-regret polytope at eps = 0
+    (`eval_menu_value`): each type picks its favorite point there,
+    breaking ties in the learner's favor.
     """
-    nsr = no_swap_regret_menu(game)
-    mn = game.m * game.n
-    base = [(np.ones(mn), lp.EQ, 1.0)]
-    for j in range(mn):
-        e = np.zeros(mn)
-        e[j] = 1.0
-        base.append((e, lp.GE, 0.0))
-    for c in range(nsr.n_constraints):
-        base.append((nsr.normals[c], lp.LE, float(nsr.rhs[c])))
-    total = 0.0
-    for i in range(game.k):
-        top = lp.solve_lp(lp.LinearProgram(game.u_O(i).ravel(), base))
-        if not top.is_optimal:
-            raise lp.NumericalFailure("no-swap-regret polytope solve failed")
-        tie = lp.solve_lp(
-            lp.LinearProgram(
-                game.u_L.ravel(),
-                list(base) + [(game.u_O(i).ravel(), lp.GE, top.objective_value - _SLACK)],
-            )
-        )
-        if not tie.is_optimal:
-            raise lp.NumericalFailure("tie-breaking solve failed")
-        total += game.alphas[i] * tie.objective_value
-    return float(total)
+    try:
+        return eval_menu_value(no_swap_regret_menu(game), game, 0.0)
+    except EmptyMenu as exc:  # the no-swap-regret polytope is never empty
+        raise lp.NumericalFailure("no-swap-regret polytope solve failed") from exc

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import lp
 from .core import BimatrixGame, Csp, CspAssignment, Transcript, bilinear_value
-from .errors import EmptyMenu, InvalidInput, InvalidTarget
+from .errors import EmptyMenu, InvalidInput, InvalidTarget, NumericalFailure
 from .maximin import ForcingState
 from .menus import HalfspaceMenu, menu_violation
 
@@ -251,27 +251,17 @@ def optimizer_best_response_policy(
     r = len(extra_points)
     d = mn + 1 + r  # zeta, mu, lambdas
 
-    def build(obj_vec, extra_cons):
-        cons = []
+    # mu + sum(lambda) = 1 and zeta carries mu total mass, then every
+    # variable nonnegative
+    mass = np.zeros(d)
+    mass[:mn] = 1.0
+    mass[mn] = -1.0
+    cons = [lp.simplex_rows(d, mn)[0], (mass, lp.EQ, 0.0)] + lp.simplex_rows(d)[1:]
+    for c in range(menu.n_constraints):
         row = np.zeros(d)
-        row[mn] = 1.0
-        row[mn + 1 :] = 1.0
-        cons.append((row, lp.EQ, 1.0))
-        row = np.zeros(d)
-        row[:mn] = 1.0
-        row[mn] = -1.0
-        cons.append((row, lp.EQ, 0.0))  # zeta carries mu total mass
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = 1.0
-            cons.append((e, lp.GE, 0.0))
-        for c in range(menu.n_constraints):
-            row = np.zeros(d)
-            row[:mn] = menu.normals[c]
-            row[mn] = -float(menu.rhs[c])
-            cons.append((row, lp.LE, 0.0))
-        cons.extend(extra_cons)
-        return lp.solve_lp(lp.LinearProgram(obj_vec, cons))
+        row[:mn] = menu.normals[c]
+        row[mn] = -float(menu.rhs[c])
+        cons.append((row, lp.LE, 0.0))
 
     def value_vector(payoff):
         vec = np.zeros(d)
@@ -280,12 +270,12 @@ def optimizer_best_response_policy(
             vec[mn + 1 + j] = bilinear_value(payoff, p)
         return vec
 
-    obj_o = value_vector(u_O)
-    first = build(obj_o, [])
-    if not first.is_optimal:
+    stages = lp.solve_lexicographic([value_vector(u_O), value_vector(u_L)], cons)
+    if not stages[0].is_optimal:
         raise EmptyMenu("menu and extra points admit no profile")
-    second = build(value_vector(u_L), [(obj_o, lp.GE, first.objective_value - 1e-9)])
-    z = second.point
+    if not stages[-1].is_optimal:
+        raise NumericalFailure("tie-breaking solve failed")
+    z = stages[-1].point
     phi_w = z[:mn].copy()
     for j, p in enumerate(extra_points):
         phi_w += z[mn + 1 + j] * p.weights

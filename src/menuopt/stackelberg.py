@@ -44,11 +44,7 @@ def stackelberg_leader(
     a, b = A.shape
     best: Optional[Tuple[float, int, np.ndarray]] = None
     for f in range(b):
-        cons = [(np.ones(a), lp.EQ, 1.0)]
-        for i in range(a):
-            e = np.zeros(a)
-            e[i] = 1.0
-            cons.append((e, lp.GE, 0.0))
+        cons = lp.simplex_rows(a)
         for g in range(b):
             if g == f:
                 continue

@@ -12,7 +12,7 @@ from menuopt.bruteforce import (
 )
 from menuopt.core import BimatrixGame, Csp, CspAssignment
 from menuopt.errors import EmptyMenu, GridTooLarge
-from menuopt.menus import HalfspaceMenu, candidate_menu, menu_violation
+from menuopt.menus import HalfspaceMenu, candidate_menu, menu_violation, no_regret_menu
 from menuopt.nr_commitment import optimal_no_regret_commitment
 
 # Lattice optimum of the 3x2 fixture at quarter resolution, computed by
@@ -168,6 +168,21 @@ def test_distance_matches_grid_projection():
             continue
         got = euclidean_distance_to_polytope(point, menu)
         assert got == pytest.approx(ref, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "u_L", [np.array([[0.3, -0.5, 0.8]]), np.array([[0.4, -0.1], [0.4, -0.1]])], ids=["m=1", "equal-rows"]
+)
+def test_distance_with_zero_normals(u_L):
+    # every no-regret normal is zero here, so the menu is the whole simplex
+    game = BimatrixGame(u_L, ((np.zeros_like(u_L), 1.0),))
+    menu = no_regret_menu(game)
+    assert not np.any(menu.normals)
+    inside = np.full(u_L.size, 1.0 / u_L.size)
+    assert euclidean_distance_to_polytope(inside, menu) <= 1e-12
+    outside = np.zeros(u_L.size)
+    outside[0] = 1.2  # nearest simplex point is the vertex e_0
+    assert euclidean_distance_to_polytope(outside, menu) == pytest.approx(0.2, abs=1e-9)
 
 
 def test_distance_empty_menu_raises():

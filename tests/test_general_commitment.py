@@ -5,9 +5,9 @@ from conftest import random_csp, random_game
 from menuopt import lp
 from menuopt.approachability import simplex_lattice, test_assignment_valid
 from menuopt.core import BimatrixGame, Csp, CspAssignment
-from menuopt.errors import EmptyMenu, InvalidInput
+from menuopt.errors import EmptyMenu, InvalidInput, NumericalFailure
 from menuopt.general_commitment import eval_menu_value, optimize_general
-from menuopt.menus import HalfspaceMenu, incentive_check, no_swap_regret_menu
+from menuopt.menus import HalfspaceMenu, incentive_check, no_regret_menu, no_swap_regret_menu
 from menuopt.nr_commitment import nsr_baseline_value, optimal_no_regret_commitment
 
 
@@ -51,6 +51,21 @@ def test_eval_menu_value_empty_menu_raises(g1):
     menu = HalfspaceMenu(g1.u_O(0).ravel()[None, :], np.array([floor]))
     with pytest.raises(EmptyMenu):
         eval_menu_value(menu, g1, 0.0)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_eval_menu_value_is_finite_or_raises(eps):
+    # 5x3 k=3: the LP kernel calls the tie-breaking stage infeasible on
+    # this game; the value must then be an error, never NaN
+    rng = np.random.default_rng([10072])
+    m, n = rng.integers(2, 7, size=2)
+    game = random_game(rng, int(m), int(n), int(rng.integers(1, 4)))
+    assert (game.m, game.n, game.k) == (5, 3, 3)
+    try:
+        value = eval_menu_value(no_regret_menu(game), game, eps)
+    except NumericalFailure:
+        return
+    assert np.isfinite(value)
 
 
 def test_g1_general_beats_no_regret_minus_eps(g1):

@@ -220,3 +220,63 @@ def test_minmax_rows_by_2_matches_and_certifies():
         ref, _, _ = lp.zero_sum_value(M)
         assert val == pytest.approx(ref, abs=1e-9)
         assert float(np.max(x @ M)) == pytest.approx(val, abs=1e-9)
+
+
+def test_simplex_rows_order_and_block_placement():
+    rows = lp.simplex_rows(5, 1, 4)
+    assert [rel for _, rel, _ in rows] == [lp.EQ, lp.GE, lp.GE, lp.GE]
+    assert [rhs for _, _, rhs in rows] == [1.0, 0.0, 0.0, 0.0]
+    assert np.array_equal(rows[0][0], [0, 1, 1, 1, 0])
+    for j, (row, _, _) in zip(range(1, 4), rows[1:]):
+        assert np.array_equal(row, np.eye(5)[j])
+    full = lp.simplex_rows(3)
+    assert len(full) == 4
+    assert np.array_equal(np.array([row for row, _, _ in full]), np.vstack([np.ones(3), np.eye(3)]))
+
+
+@pytest.mark.parametrize("relax", [0.0, 0.25])
+def test_lexicographic_stage_keeps_relax_plus_tie_slack(relax):
+    # stage 1 puts all mass on x0; stage 2 may then move relax + TIE_SLACK
+    # of it to x1, and no more
+    stages = lp.solve_lexicographic(list(np.eye(2)), lp.simplex_rows(2), relax)
+    assert [s.status for s in stages] == [lp.OPTIMAL, lp.OPTIMAL]
+    assert stages[0].objective_value == pytest.approx(1.0, abs=1e-15)
+    assert stages[1].objective_value == pytest.approx(relax + lp.TIE_SLACK, abs=1e-15)
+
+
+def test_lexicographic_stops_at_the_first_stage_that_is_not_optimal():
+    objectives = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])]
+    empty = lp.solve_lexicographic(objectives, lp.simplex_rows(2) + [(np.ones(2), lp.LE, 0.5)])
+    assert [s.status for s in empty] == [lp.INFEASIBLE]
+    # x1 is free, so the second stage is unbounded and the third never runs
+    open_top = lp.solve_lexicographic(objectives, [(np.array([1.0, 0.0]), lp.LE, 1.0)])
+    assert [s.status for s in open_top] == [lp.OPTIMAL, lp.UNBOUNDED]
+
+
+def test_lexicographic_matches_scipy_two_stage_solve():
+    scipy_opt = pytest.importorskip("scipy.optimize")
+
+    def highs_max(c, A_ub, b_ub):
+        # max c . x over the simplex intersected with A_ub x <= b_ub
+        d = c.size
+        ref = scipy_opt.linprog(
+            -c, A_ub=A_ub, b_ub=b_ub, A_eq=np.ones((1, d)), b_eq=[1.0],
+            bounds=[(0, None)] * d, method="highs",
+        )
+        assert ref.success
+        return -ref.fun
+
+    rng = np.random.default_rng(23)
+    for trial in range(30):
+        d = int(rng.integers(2, 6))
+        x0 = rng.dirichlet(np.ones(d))
+        normals = rng.uniform(-1.0, 1.0, size=(int(rng.integers(0, 4)), d))
+        rhs = normals @ x0 + rng.uniform(0.0, 0.3, size=len(normals))
+        first, second = rng.uniform(-1.0, 1.0, size=(2, d))
+        relax = [0.0, 0.05][trial % 2]
+        cons = lp.simplex_rows(d) + [(a, lp.LE, float(b)) for a, b in zip(normals, rhs)]
+        stages = lp.solve_lexicographic([first, second], cons, relax)
+        top = highs_max(first, normals, rhs)
+        floor = top - relax - lp.TIE_SLACK  # second stage keeps first . x >= floor
+        tie = highs_max(second, np.vstack([normals, -first]), np.append(rhs, -floor))
+        assert [s.objective_value for s in stages] == pytest.approx([top, tie], abs=1e-7)
