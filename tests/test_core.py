@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -146,6 +147,23 @@ def test_types_are_immutable(g1):
         g1.u_L[0, 0] = 99.0
     with pytest.raises(ValueError):
         Csp.uniform(2, 2).weights[0] = 1.0
+
+
+def test_derived_game_values_are_cached_and_read_only():
+    types = ((np.array([[1.0, 2.0]]), 0.4), (np.array([[3.0, -4.0]]), 0.6))
+    game = BimatrixGame(np.array([[0.5, -7.1]]), types)
+    before = (repr(game), game.to_json())
+    assert game.alphas is game.alphas
+    assert game.opponent_payoffs is game.opponent_payoffs
+    assert np.array_equal(game.alphas, [0.4, 0.6])
+    assert np.array_equal(game.opponent_payoffs, [[[1.0, 2.0]], [[3.0, -4.0]]])
+    assert game.p_max == 7.1
+    for derived in (game.alphas, game.opponent_payoffs):
+        with pytest.raises(ValueError):
+            derived[0] = 0.0
+    # the cached values take no part in repr, JSON or equality
+    assert (repr(game), game.to_json()) == before
+    assert [f.name for f in dataclasses.fields(game)] == ["u_L", "types"]
 
 
 def test_game_json_round_trip(g1):
