@@ -255,7 +255,7 @@ def separator_for_thresholds(
 def _lexicographic_h(G: np.ndarray, margin: float) -> np.ndarray:
     """Lexicographically refine h over {h in simplex : G^T h >= margin}."""
     k, m = G.shape
-    cons = lp.simplex_rows(k)
+    cons = [lp.simplex_row(k)]
     for col in range(m):
         cons.append((G[:, col], lp.GE, margin - 1e-9))
     stages = lp.solve_lexicographic(list(np.eye(k)), cons)

@@ -133,7 +133,7 @@ def euclidean_distance_to_polytope(point: np.ndarray, menu: HalfspaceMenu) -> fl
     if point.shape != (menu.dim,) and menu.n_constraints > 0:
         raise InvalidInput("point dimension must match the menu")
     dim = point.size
-    feas = lp.simplex_rows(dim)
+    feas = [lp.simplex_row(dim)]
     for c in range(menu.n_constraints):
         feas.append((menu.normals[c], lp.LE, float(menu.rhs[c])))
     if not lp.solve_lp(lp.LinearProgram(np.zeros(dim), feas)).is_optimal:

@@ -48,7 +48,7 @@ def eval_menu_value(menu: HalfspaceMenu, game: BimatrixGame, eps: float) -> floa
     best profile among menu points within eps of that top.
     """
     mn = game.m * game.n
-    base = lp.simplex_rows(mn)
+    base = [lp.simplex_row(mn)]
     for c in range(menu.n_constraints):
         base.append((menu.normals[c], lp.LE, float(menu.rhs[c])))
     total = 0.0

@@ -7,15 +7,16 @@ against its recovered dual before it is returned; a solve that cannot be
 certified raises instead of returning a wrong status.
 
 Orientation conventions: `LinearProgram.objective` is always maximized,
-and `zero_sum_value` treats the row player as the minimizer.
+variables are x >= 0 unless `bounds` says otherwise (scipy's `linprog`
+convention), and `zero_sum_value` treats the row player as the minimizer.
 
 Two helpers give every solver module the same vocabulary.
-`simplex_rows` builds the row sum(x[lo:hi]) = 1 followed by x_j >= 0 for
-each j in [lo, hi).  `solve_lexicographic` maximizes a list of objectives
-in turn, each over the optimal face of the ones before; it implements
-the package's tie rule once: an opponent type takes its favourite point,
-and among points within relax + TIE_SLACK of that favourite the learner's
-best one is chosen.
+`simplex_row` builds the row sum(x[lo:hi]) = 1; with the default domain
+it makes x[lo:hi] a probability vector.  `solve_lexicographic` maximizes
+a list of objectives in turn, each over the optimal face of the ones
+before; it implements the package's tie rule once: an opponent type takes
+its favourite point, and among points within relax + TIE_SLACK of that
+favourite the learner's best one is chosen.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ Row = Tuple[np.ndarray, str, float]  # one constraint: row . x (rel) rhs
 class LinearProgram:
     """max objective . x  subject to row . x (rel) rhs for each constraint.
 
-    `bounds`, when given, holds one (lower, upper) pair per variable with
-    None meaning unbounded on that side; omitted bounds leave variables
-    free.  Bounds are materialized internally as ordinary constraint rows
-    (appended after `constraints`, lower bound before upper bound per
+    `bounds`, when given, holds one (lower, upper) pair per variable, None
+    meaning unbounded on that side; the default is (0, None), x >= 0, and
+    (None, None) declares a free variable.  Bounds other than a lower 0
+    become constraint rows (after `constraints`, lower before upper per
     variable), and the returned dual vector covers those rows as well.
     """
 
@@ -71,25 +72,25 @@ class LpSolution:
         return self.status == OPTIMAL
 
 
-def simplex_rows(d: int, lo: int = 0, hi: Optional[int] = None) -> List[Row]:
-    """The row sum(x[lo:hi]) = 1, then x_j >= 0 for each j in [lo, hi).
+def simplex_row(d: int, lo: int = 0, hi: Optional[int] = None) -> Row:
+    """The row sum(x[lo:hi]) = 1, of length d.
 
-    Rows have length d; coordinates outside [lo, hi) get zero weight, so
-    block programs call this once per block.
+    Coordinates outside [lo, hi) get zero weight, so block programs call
+    this once per block.  x >= 0 needs no row: it is the default domain.
     """
     hi = d if hi is None else hi
     total = np.zeros(d)
     total[lo:hi] = 1.0
-    rows = [(total, EQ, 1.0)]
-    for j in range(lo, hi):
-        e = np.zeros(d)
-        e[j] = 1.0
-        rows.append((e, GE, 0.0))
-    return rows
+    return (total, EQ, 1.0)
+
+
+def _scale(*arrays: np.ndarray) -> float:
+    """max(1, largest |entry|): the unit of every feasibility tolerance."""
+    return max([1.0] + [float(np.max(np.abs(a))) for a in arrays if a.size])
 
 
 def _materialize_rows(lp: LinearProgram):
-    """Flatten constraints plus bounds into (rows, rels, rhs) arrays."""
+    """Flatten constraints plus bound rows into (c, A, rels, b, free) arrays."""
     c = np.asarray(lp.objective, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise InvalidInput("objective must be a nonempty vector")
@@ -104,27 +105,23 @@ def _materialize_rows(lp: LinearProgram):
         rows.append(row)
         rels.append(rel)
         rhs.append(float(b))
+    free = np.zeros(d, dtype=bool)
     if lp.bounds is not None:
         if len(lp.bounds) != d:
             raise InvalidInput("bounds length must match the number of variables")
         for j, (lo, hi) in enumerate(lp.bounds):
-            if lo is not None:
-                e = np.zeros(d)
-                e[j] = 1.0
-                rows.append(e)
-                rels.append(GE)
-                rhs.append(float(lo))
-            if hi is not None:
-                e = np.zeros(d)
-                e[j] = 1.0
-                rows.append(e)
-                rels.append(LE)
-                rhs.append(float(hi))
+            # A column is x >= 0; a variable that may go below 0 is split.
+            free[j] = lo is None or lo < 0
+            for bound, rel in ((None if lo == 0 else lo, GE), (hi, LE)):
+                if bound is not None:
+                    rows.append(np.eye(1, d, j)[0])
+                    rels.append(rel)
+                    rhs.append(float(bound))
     A = np.array(rows, dtype=float) if rows else np.zeros((0, d))
     b = np.array(rhs, dtype=float)
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise InvalidInput("objective, constraint rows, and rhs must all be finite")
-    return c, A, rels, b
+    return c, A, rels, b, free
 
 
 def _bland_entering(red: np.ndarray, allowed: np.ndarray) -> int:
@@ -177,34 +174,26 @@ def _run_simplex(T, basis, cost, allowed, max_iters):
 
 def solve_lp(lp: LinearProgram, max_iters: int = 0) -> LpSolution:
     """Two-phase simplex solve of `lp`, with dual certification when optimal."""
-    c, A0, rels, b0 = _materialize_rows(lp)
+    c, A0, rels, b0, free = _materialize_rows(lp)
     d = c.size
     nrows = A0.shape[0]
 
-    # Standard form: x = u - w (u, w >= 0); inequalities get slack columns.
-    n_slack = sum(1 for r in rels if r != EQ)
-    ncols = 2 * d + n_slack
+    # Standard form: one column per variable, then a column -A[:, j] for the
+    # w of each free x_j = u - w, then a slack column per inequality in row
+    # order (+1 on <= rows, -1 on >= rows); rows are signed so that b >= 0.
+    n_free = int(free.sum())
+    ineq = [i for i, rel in enumerate(rels) if rel != EQ]
+    n_slack = len(ineq)
+    ncols = d + n_free + n_slack
     A = np.zeros((nrows, ncols))
     A[:, :d] = A0
-    A[:, d : 2 * d] = -A0
-    s = 2 * d
-    slack_sign = np.zeros(nrows)
-    for i, rel in enumerate(rels):
-        if rel == LE:
-            A[i, s] = 1.0
-            slack_sign[i] = 1.0
-            s += 1
-        elif rel == GE:
-            A[i, s] = -1.0
-            slack_sign[i] = -1.0
-            s += 1
-    b = b0.copy()
-    row_sign = np.ones(nrows)
-    neg = b < 0
+    A[:, d : d + n_free] = -A0[:, free]
+    A[ineq, d + n_free + np.arange(n_slack)] = [1.0 if rels[i] == LE else -1.0 for i in ineq]
+    neg = b0 < 0
     A[neg] *= -1.0
-    b[neg] *= -1.0
-    row_sign[neg] = -1.0
-    c_std = np.concatenate([c, -c, np.zeros(n_slack)])
+    b = np.where(neg, -b0, b0)
+    row_sign = np.where(neg, -1.0, 1.0)
+    c_std = np.concatenate([c, -c[free], np.zeros(n_slack)])
 
     if max_iters <= 0:
         max_iters = 20000 + 200 * (nrows + ncols)
@@ -219,9 +208,10 @@ def solve_lp(lp: LinearProgram, max_iters: int = 0) -> LpSolution:
     phase1_cost = np.zeros(total)
     phase1_cost[ncols:] = -1.0
     allowed = np.ones(total, dtype=bool)
-    status = _run_simplex(T, basis, phase1_cost, allowed, max_iters)
-    # The tableau corner carries -z, so residual artificial mass shows as > 0.
-    if status != OPTIMAL or T[-1, -1] > 1e-7:
+    _run_simplex(T, basis, phase1_cost, allowed, max_iters)
+    # The corner carries -z, the residual artificial mass. Phase 1 is bounded,
+    # so an "unbounded" exit is round-off and only the residual decides.
+    if T[-1, -1] > _FEAS_TOL * _scale(b):
         return LpSolution(INFEASIBLE, None, float("nan"))
 
     # Pivot artificials out of the basis; rows that cannot pivot are redundant.
@@ -250,11 +240,12 @@ def solve_lp(lp: LinearProgram, max_iters: int = 0) -> LpSolution:
 
     z = np.zeros(total)
     z[basis] = T[:-1, -1]
-    x = z[:d] - z[d : 2 * d]
+    x = z[:d]
+    x[free] -= z[d : d + n_free]
     value = float(c @ x)
 
-    dual = _recover_dual(A, b, keep_rows, basis, c_std, nrows, row_sign)
-    _certify(x, value, dual, A0, rels, b0, c)
+    dual = _recover_dual(A, keep_rows, basis, c_std, row_sign)
+    _certify(x, value, dual, A0, rels, b0, c, free)
     return LpSolution(OPTIMAL, x, value, dual)
 
 
@@ -279,7 +270,7 @@ def solve_lexicographic(
     return stages
 
 
-def _recover_dual(A, b, keep_rows, basis, c_std, nrows, row_sign):
+def _recover_dual(A, keep_rows, basis, c_std, row_sign):
     """Duals from the final basis: solve B^T y = c_B on the kept rows."""
     kept_idx = np.nonzero(keep_rows)[0]
     Ak = A[kept_idx]
@@ -289,15 +280,15 @@ def _recover_dual(A, b, keep_rows, basis, c_std, nrows, row_sign):
         y_kept = np.linalg.solve(B.T, cb)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("singular basis during dual recovery") from exc
-    y = np.zeros(nrows)
+    y = np.zeros(keep_rows.size)
     y[kept_idx] = y_kept
     return y * row_sign
 
 
-def _certify(x, value, dual, A0, rels, b0, c):
+def _certify(x, value, dual, A0, rels, b0, c, free):
     """Primal feasibility, dual feasibility, and strong duality checks."""
-    scale = max(1.0, float(np.max(np.abs(b0))) if b0.size else 1.0, float(np.max(np.abs(c))))
-    act = A0 @ x if b0.size else np.zeros(0)
+    scale = _scale(b0, c)
+    act = A0 @ x
     for i, rel in enumerate(rels):
         resid = act[i] - b0[i]
         ok = (
@@ -307,16 +298,19 @@ def _certify(x, value, dual, A0, rels, b0, c):
         )
         if not ok:
             raise NumericalFailure(f"primal constraint {i} violated by {resid:.3e}")
+    if np.any(x[~free] < -_FEAS_TOL * scale):
+        raise NumericalFailure(f"variable x >= 0 is {float(np.min(x[~free])):.3e}")
     # Maximization duals: <= rows carry y >= 0, >= rows y <= 0, = rows free.
     for i, rel in enumerate(rels):
         if rel == LE and dual[i] < -_DUAL_TOL * scale:
             raise NumericalFailure("dual sign violated on a <= row")
         if rel == GE and dual[i] > _DUAL_TOL * scale:
             raise NumericalFailure("dual sign violated on a >= row")
-    red = c - A0.T @ dual if b0.size else c.copy()
-    if np.max(np.abs(red)) > _DUAL_TOL * scale:
-        raise NumericalFailure("dual infeasibility: reduced costs do not vanish")
-    gap = abs(float(dual @ b0) - value) if b0.size else abs(value)
+    # Reduced costs vanish on free variables and are <= 0 on x >= 0 ones.
+    red = c - A0.T @ dual
+    if np.any(red > _DUAL_TOL * scale) or np.any(red[free] < -_DUAL_TOL * scale):
+        raise NumericalFailure("dual infeasibility: reduced costs have the wrong sign")
+    gap = abs(float(dual @ b0) - value)
     if gap > _DUAL_TOL * scale:
         raise NumericalFailure(f"duality gap {gap:.3e} exceeds tolerance")
 
@@ -325,7 +319,7 @@ def duality_gap(lp: LinearProgram, sol: LpSolution) -> float:
     """|primal - dual| objective gap of a certified optimal solution."""
     if not sol.is_optimal:
         raise InvalidInput("duality gap is defined for optimal solutions only")
-    _, _, _, b = _materialize_rows(lp)
+    b = _materialize_rows(lp)[3]
     return abs(float(sol.dual @ b) - sol.objective_value)
 
 
@@ -349,10 +343,10 @@ def zero_sum_value(M: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
     for j in range(q):
         row = np.concatenate([M[:, j], [-1.0]])
         cons.append((row, LE, 0.0))
-    cons += simplex_rows(d, 0, p)
+    cons.append(simplex_row(d, 0, p))
     obj = np.zeros(d)
     obj[-1] = -1.0
-    sol = solve_lp(LinearProgram(obj, cons))
+    sol = solve_lp(LinearProgram(obj, cons, [(0, None)] * p + [(None, None)]))
     if not sol.is_optimal:
         raise NumericalFailure(f"zero-sum solve ended with status {sol.status}")
     x = sol.point[:p]

@@ -88,8 +88,7 @@ def threshold_assignment(game: BimatrixGame, V: float) -> CspAssignment:
     mn = game.m * game.n
     if V > float(np.max(game.u_L)) + _SLACK:
         raise ThresholdInfeasible(f"no profile attains learner value {V}")
-    simplex = lp.simplex_rows(mn)
-    base = [simplex[0], (game.u_L.ravel(), lp.GE, float(V))] + simplex[1:]
+    base = [lp.simplex_row(mn), (game.u_L.ravel(), lp.GE, float(V))]
     profiles = []
     for i in range(game.k):
         stages = lp.solve_lexicographic([game.u_O(i).ravel(), game.u_L.ravel()], base)

@@ -192,7 +192,7 @@ def response_satisfiable_at(
         # normal . (x (x) y) = x . (N @ y) for the reshaped normal N.
         w = menu.normals[c].reshape(m, n) @ y
         cons.append((w, lp.LE, float(menu.rhs[c])))
-    cons += lp.simplex_rows(m)
+    cons.append(lp.simplex_row(m))
     sol = lp.solve_lp(lp.LinearProgram(np.zeros(m), cons))
     if not sol.is_optimal:
         return None

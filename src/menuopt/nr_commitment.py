@@ -40,7 +40,7 @@ def _assignment_lp_rows(game: BimatrixGame, v: np.ndarray):
     cons = []
     for i in range(k):
         block = slice(i * mn, (i + 1) * mn)
-        cons += lp.simplex_rows(d, i * mn, (i + 1) * mn)
+        cons.append(lp.simplex_row(d, i * mn, (i + 1) * mn))
         for c in range(nr.n_constraints):
             row = np.zeros(d)
             row[block] = nr.normals[c]
@@ -82,7 +82,7 @@ def optimal_no_regret_commitment(
         obj[i * mn : (i + 1) * mn] = game.alphas[i] * game.u_L.ravel()
 
     if objective == "worst_case":
-        # epigraph variable t <= u_L(phi_i) for every type; maximize t
+        # free epigraph variable t <= u_L(phi_i) for every type; maximize t
         cons_t = [(np.concatenate([row, [0.0]]), rel, rhs) for row, rel, rhs in cons]
         for i in range(k):
             row = np.zeros(d + 1)
@@ -91,7 +91,7 @@ def optimal_no_regret_commitment(
             cons_t.append((row, lp.GE, 0.0))
         obj_t = np.zeros(d + 1)
         obj_t[-1] = 1.0
-        first = lp.solve_lp(lp.LinearProgram(obj_t, cons_t))
+        first = lp.solve_lp(lp.LinearProgram(obj_t, cons_t, [(0, None)] * d + [(None, None)]))
         if not first.is_optimal:
             raise lp.NumericalFailure(f"commitment program ended {first.status}")
         point = first.point[:d]

@@ -251,12 +251,11 @@ def optimizer_best_response_policy(
     r = len(extra_points)
     d = mn + 1 + r  # zeta, mu, lambdas
 
-    # mu + sum(lambda) = 1 and zeta carries mu total mass, then every
-    # variable nonnegative
+    # mu + sum(lambda) = 1 and zeta carries mu total mass
     mass = np.zeros(d)
     mass[:mn] = 1.0
     mass[mn] = -1.0
-    cons = [lp.simplex_rows(d, mn)[0], (mass, lp.EQ, 0.0)] + lp.simplex_rows(d)[1:]
+    cons = [lp.simplex_row(d, mn), (mass, lp.EQ, 0.0)]
     for c in range(menu.n_constraints):
         row = np.zeros(d)
         row[:mn] = menu.normals[c]

@@ -44,7 +44,7 @@ def stackelberg_leader(
     a, b = A.shape
     best: Optional[Tuple[float, int, np.ndarray]] = None
     for f in range(b):
-        cons = lp.simplex_rows(a)
+        cons = [lp.simplex_row(a)]
         for g in range(b):
             if g == f:
                 continue

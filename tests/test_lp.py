@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from menuopt import lp
-from menuopt.errors import InvalidInput
+from menuopt.errors import InvalidInput, NumericalFailure
 
 
 def simple(objective, constraints, bounds=None):
@@ -71,8 +71,9 @@ def test_bounds_are_materialized():
     sol = lp.solve_lp(simple([1.0, 1.0], [([1.0, 1.0], lp.LE, 3.0)], bounds=[(0.0, 2.0), (0.0, 2.0)]))
     assert sol.is_optimal
     assert sol.objective_value == pytest.approx(3.0, abs=1e-8)
-    # dual covers the constraint plus four bound rows
-    assert sol.dual.shape == (5,)
+    # dual covers the constraint plus the two upper-bound rows; a lower
+    # bound of 0 is the variables' own domain and costs no row
+    assert sol.dual.shape == (3,)
 
 
 def test_nonfinite_input_rejected():
@@ -83,7 +84,7 @@ def test_nonfinite_input_rejected():
 
 
 def random_feasible_lp(rng, d, extra_rows):
-    """Random program guaranteed feasible at a random interior point."""
+    """Random program over free variables, feasible at a random interior point."""
     x0 = rng.uniform(-1.0, 1.0, size=d)
     rows, rels, rhs = [], [], []
     for _ in range(extra_rows):
@@ -103,7 +104,7 @@ def random_feasible_lp(rng, d, extra_rows):
         rhs.append(float(x0[j] - rng.uniform(0.5, 2.0)))
     cons = list(zip(rows, rels, rhs))
     c = rng.uniform(-1.0, 1.0, size=d)
-    return lp.LinearProgram(c, cons)
+    return lp.LinearProgram(c, cons, [(None, None)] * d)
 
 
 def test_duality_gap_on_500_random_programs():
@@ -175,6 +176,16 @@ def grid_zero_sum_oracle(M, resolution=1e-3):
     return float(np.min(np.max(xs @ M, axis=1)))
 
 
+def test_zero_sum_entry_below_pivot_tolerance_scale():
+    # [[0, a], [a, e]] has value a^2 / (2a - e); phase 1 can end "unbounded"
+    # here on a reduced cost of a few 1e-9, which must not read as infeasible
+    a, e = 1.0 / 3.0, 3.3e-8
+    value, x, y = lp.zero_sum_value(np.array([[0.0, a], [a, e]]))
+    assert value == pytest.approx(a * a / (2 * a - e), abs=1e-9)
+    assert np.allclose(x, [(a - e) / (2 * a - e), a / (2 * a - e)], atol=1e-9)
+    assert np.allclose(y, x, atol=1e-9)
+
+
 def test_zero_sum_random_3x3_vs_grid_oracle():
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -222,23 +233,20 @@ def test_minmax_rows_by_2_matches_and_certifies():
         assert float(np.max(x @ M)) == pytest.approx(val, abs=1e-9)
 
 
-def test_simplex_rows_order_and_block_placement():
-    rows = lp.simplex_rows(5, 1, 4)
-    assert [rel for _, rel, _ in rows] == [lp.EQ, lp.GE, lp.GE, lp.GE]
-    assert [rhs for _, _, rhs in rows] == [1.0, 0.0, 0.0, 0.0]
-    assert np.array_equal(rows[0][0], [0, 1, 1, 1, 0])
-    for j, (row, _, _) in zip(range(1, 4), rows[1:]):
-        assert np.array_equal(row, np.eye(5)[j])
-    full = lp.simplex_rows(3)
-    assert len(full) == 4
-    assert np.array_equal(np.array([row for row, _, _ in full]), np.vstack([np.ones(3), np.eye(3)]))
+def test_simplex_row_block_placement():
+    row, rel, rhs = lp.simplex_row(5, 1, 4)
+    assert (rel, rhs) == (lp.EQ, 1.0)
+    assert np.array_equal(row, [0, 1, 1, 1, 0])
+    row, rel, rhs = lp.simplex_row(3)
+    assert (rel, rhs) == (lp.EQ, 1.0)
+    assert np.array_equal(row, np.ones(3))
 
 
 @pytest.mark.parametrize("relax", [0.0, 0.25])
 def test_lexicographic_stage_keeps_relax_plus_tie_slack(relax):
     # stage 1 puts all mass on x0; stage 2 may then move relax + TIE_SLACK
     # of it to x1, and no more
-    stages = lp.solve_lexicographic(list(np.eye(2)), lp.simplex_rows(2), relax)
+    stages = lp.solve_lexicographic(list(np.eye(2)), [lp.simplex_row(2)], relax)
     assert [s.status for s in stages] == [lp.OPTIMAL, lp.OPTIMAL]
     assert stages[0].objective_value == pytest.approx(1.0, abs=1e-15)
     assert stages[1].objective_value == pytest.approx(relax + lp.TIE_SLACK, abs=1e-15)
@@ -246,9 +254,9 @@ def test_lexicographic_stage_keeps_relax_plus_tie_slack(relax):
 
 def test_lexicographic_stops_at_the_first_stage_that_is_not_optimal():
     objectives = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])]
-    empty = lp.solve_lexicographic(objectives, lp.simplex_rows(2) + [(np.ones(2), lp.LE, 0.5)])
+    empty = lp.solve_lexicographic(objectives, [lp.simplex_row(2), (np.ones(2), lp.LE, 0.5)])
     assert [s.status for s in empty] == [lp.INFEASIBLE]
-    # x1 is free, so the second stage is unbounded and the third never runs
+    # x1 has no upper bound, so the second stage is unbounded and the third never runs
     open_top = lp.solve_lexicographic(objectives, [(np.array([1.0, 0.0]), lp.LE, 1.0)])
     assert [s.status for s in open_top] == [lp.OPTIMAL, lp.UNBOUNDED]
 
@@ -274,9 +282,87 @@ def test_lexicographic_matches_scipy_two_stage_solve():
         rhs = normals @ x0 + rng.uniform(0.0, 0.3, size=len(normals))
         first, second = rng.uniform(-1.0, 1.0, size=(2, d))
         relax = [0.0, 0.05][trial % 2]
-        cons = lp.simplex_rows(d) + [(a, lp.LE, float(b)) for a, b in zip(normals, rhs)]
+        cons = [lp.simplex_row(d)] + [(a, lp.LE, float(b)) for a, b in zip(normals, rhs)]
         stages = lp.solve_lexicographic([first, second], cons, relax)
         top = highs_max(first, normals, rhs)
         floor = top - relax - lp.TIE_SLACK  # second stage keeps first . x >= floor
         tie = highs_max(second, np.vstack([normals, -first]), np.append(rhs, -floor))
         assert [s.objective_value for s in stages] == pytest.approx([top, tie], abs=1e-7)
+
+
+def random_mixed_domain_lp(rng, d, extra_rows):
+    """Random bounded program whose variables are free, x >= 0 or boxed.
+
+    Feasible at a random point x0 of the domain.  Free variables get box
+    rows, x >= 0 ones an upper row, so the optimum is finite.
+    """
+    bounds, x0, cons = [], np.empty(d), []
+    for j, kind in enumerate(rng.integers(0, 4, size=d)):
+        e = np.eye(d)[j]
+        if kind == 0:
+            bounds.append((None, None))
+            x0[j] = rng.uniform(-1.0, 1.0)
+            cons.append((e, lp.GE, float(x0[j] - rng.uniform(0.5, 2.0))))
+        elif kind == 1:
+            bounds.append((0, None))
+            x0[j] = rng.uniform(0.0, 1.0)
+        else:  # boxed: [0, hi], or lo below or above 0
+            lo = 0.0 if kind == 2 else float(rng.uniform(-1.0, 0.5))
+            bounds.append((lo, lo + float(rng.uniform(0.5, 2.0))))
+            x0[j] = rng.uniform(lo, bounds[-1][1])
+        if kind < 2:
+            cons.append((e, lp.LE, float(x0[j] + rng.uniform(0.5, 2.0))))
+    for _ in range(extra_rows):
+        a = rng.uniform(-1.0, 1.0, size=d)
+        rel = (lp.LE, lp.GE, lp.EQ)[int(rng.integers(0, 3))]
+        slack = {lp.LE: 1.0, lp.GE: -1.0, lp.EQ: 0.0}[rel] * rng.uniform(0.0, 0.5)
+        cons.append((a, rel, float(a @ x0 + slack)))
+    order = rng.permutation(len(cons))
+    return lp.LinearProgram(rng.uniform(-1.0, 1.0, size=d), [cons[i] for i in order], bounds)
+
+
+def test_mixed_domains_against_highs():
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        d = int(rng.integers(2, 7))
+        prog = random_mixed_domain_lp(rng, d, int(rng.integers(1, 5)))
+        sol = lp.solve_lp(prog)
+        A_ub, b_ub, A_eq, b_eq = [], [], [], []
+        for row, rel, b in prog.constraints:
+            sign = -1.0 if rel == lp.GE else 1.0
+            (A_eq if rel == lp.EQ else A_ub).append(sign * row)
+            (b_eq if rel == lp.EQ else b_ub).append(sign * b)
+        ref = scipy_opt.linprog(
+            -prog.objective, A_ub=np.array(A_ub) if A_ub else None, b_ub=b_ub or None,
+            A_eq=np.array(A_eq) if A_eq else None, b_eq=b_eq or None,
+            bounds=prog.bounds, method="highs",
+        )
+        assert ref.success and sol.is_optimal
+        assert sol.objective_value == pytest.approx(-ref.fun, abs=1e-8)
+        for xj, (lo, hi) in zip(sol.point, prog.bounds):
+            assert lo is None or xj >= lo - 1e-9
+            assert hi is None or xj <= hi + 1e-9
+        assert lp.duality_gap(prog, sol) <= 1e-7
+
+
+# One-row programs max c.x s.t. x <= 1, handed to the certificate check
+# with a claimed (x, value, dual): (c, x, y, free, sound).
+CLAIMS = {
+    "x >= 0 column at -0.5": ([-1.0], [-0.5], [0.5], [False], False),
+    "free column at -0.5, reduced cost -1.5": ([-1.0], [-0.5], [0.5], [True], False),
+    "x >= 0 column with reduced cost +1": ([1.0], [0.0], [0.0], [False], False),
+    "x >= 0 column at 0 with reduced cost -1": ([-1.0], [0.0], [0.0], [False], True),
+    "free column at 1 with reduced cost 0": ([1.0], [1.0], [1.0], [True], True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLAIMS))
+def test_certificate_checks_domain_and_reduced_cost_sign(name):
+    c, x, y, free, sound = (np.array(v) for v in CLAIMS[name])
+    args = (x, float(c @ x), y, np.ones((1, 1)), [lp.LE], np.ones(1), c, free.astype(bool))
+    if sound:
+        lp._certify(*args)
+    else:
+        with pytest.raises(NumericalFailure):
+            lp._certify(*args)

@@ -190,6 +190,15 @@ def test_response_satisfiable_empty_menu(g1):
         assert response_satisfiable_at(menu, y, g1) is None
 
 
+def test_response_satisfiable_misses_by_less_than_old_phase_one_slack():
+    # x = 1 is forced, and the menu row asks x <= 1 - 2**-24: infeasible by
+    # 6e-8, which the solve must report as infeasible rather than raise on
+    game = BimatrixGame(np.zeros((1, 2)), ((np.array([[1.0, 0.0]]), 1.0),))
+    assign = CspAssignment((Csp(np.array([1.0 - 2.0**-24, 2.0**-24])),))
+    menu = candidate_menu(assign, 0.0, game)
+    assert response_satisfiable_at(menu, np.array([1.0, 0.0]), game) is None
+
+
 def test_response_satisfiability_upward_closed():
     rng = np.random.default_rng(11)
     for _ in range(10):
