@@ -1,4 +1,5 @@
-"""Property test of one forcing round on small random games (hypothesis)."""
+"""Property tests of one forcing round on small random games and of its
+two-column solve (hypothesis)."""
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from menuopt import lp  # noqa: E402
 from menuopt.core import BimatrixGame, Csp, CspAssignment  # noqa: E402
 from menuopt.errors import NumericalFailure  # noqa: E402
 from menuopt.maximin import ForcingState  # noqa: E402
 from menuopt.menus import candidate_menu, response_satisfiable_at  # noqa: E402
+from test_forcing_reference import reference_minmax_rows_by_2  # noqa: E402
 
 payoff = st.floats(-1.0, 1.0, allow_nan=False)
 weight = st.floats(0.0, 1.0, allow_nan=False)
@@ -63,3 +66,31 @@ def test_forcing_act_caps_the_weighted_game_or_certifies_an_abort(case):
         # when the abort margin (above 1e-9) is below that tolerance
         event("refuted" if witness is None else "refuted within LP tolerance")
         assert witness is None or menu.violation(np.outer(witness, y).ravel()) <= 1e-7
+
+
+# Entries near 0 and gaps near the 1e-14 and 1e-15 thresholds: equal
+# columns give den = 0, a tiny gap g puts a crossing at t near 0 or 1.
+entry = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 1e-300, -1e-15, 1e-15, 0.5]))
+gap = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from([0.0, -0.0, 1e-16, -1e-16, 5e-15, -5e-15, 1e-14, -1e-14, 2e-14, 1e-300]),
+)
+
+
+@st.composite
+def two_column_games(draw):
+    m = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.tuples(entry, gap), min_size=1, max_size=m))
+    # rows drawn from a pool of at most m, so duplicate rows are common
+    rows = [draw(st.sampled_from(pool)) for _ in range(m)]
+    return np.array([[a, a + d] for a, d in rows])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(two_column_games())
+def test_minmax_rows_by_2_equals_reference(M):
+    val, x = lp.minmax_rows_by_2(M)
+    ref_val, ref_x = reference_minmax_rows_by_2(M)
+    assert val == ref_val
+    assert type(val) is float
+    assert x.tobytes() == ref_x.tobytes()
