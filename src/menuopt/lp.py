@@ -394,17 +394,23 @@ def zero_sum_value_batch2(stack: np.ndarray) -> np.ndarray:
 
 
 def minmax_rows_by_2(M: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Single-game companion of `zero_sum_value_batch2`: value and argmin x."""
+    """Single-game companion of `zero_sum_value_batch2`: value and argmin x.
+
+    The best pure row is the first row of least max; a two-row crossing
+    replaces it only when lower by more than 1e-15, and a pair whose
+    column differences g are within 1e-14 has no crossing. It runs on
+    Python floats, since at the forcing round's sizes numpy's per-call
+    cost would exceed the arithmetic.
+    """
     M = np.asarray(M, dtype=float)
     m, q = M.shape
     if q != 2:
         raise InvalidInput("expected a two-column matrix")
-    row_vals = np.max(M, axis=1)
-    i0 = int(np.argmin(row_vals))
-    best = float(row_vals[i0])
-    x = np.zeros(m)
-    x[i0] = 1.0
-    g = M[:, 0] - M[:, 1]
+    rows = M.tolist()
+    row_vals = [b if b >= a else a for a, b in rows]  # np.max's choice between equal zeros
+    best = min(row_vals)
+    support = {row_vals.index(best): 1.0}
+    g = [a - b for a, b in rows]
     for i in range(m):
         for j in range(i + 1, m):
             den = g[j] - g[i]
@@ -413,10 +419,10 @@ def minmax_rows_by_2(M: np.ndarray) -> Tuple[float, np.ndarray]:
             t = g[j] / den
             if not (0.0 < t < 1.0):
                 continue
-            cross = t * M[i, 0] + (1.0 - t) * M[j, 0]
+            cross = t * rows[i][0] + (1.0 - t) * rows[j][0]
             if cross < best - 1e-15:
-                best = float(cross)
-                x = np.zeros(m)
-                x[i] = t
-                x[j] = 1.0 - t
+                best = cross
+                support = {i: t, j: 1.0 - t}
+    x = np.zeros(m)
+    x[list(support)] = list(support.values())
     return best, x

@@ -43,6 +43,11 @@ class ForcingState:
     opponent mix y (pure y suffice by linearity); when none exists, the
     dual mix y* of certificate() refutes response satisfiability of the
     menu and aborting is the only move left.
+
+    act() solves the weighted game again only when the bytes of p differ
+    from those of its last solve, and otherwise returns the kept answer;
+    with k = 1, p never moves, so one solve serves the whole epoch. The x
+    it returns is read-only, because the same array may serve many rounds.
     """
 
     def __init__(self, game: BimatrixGame, assignment: CspAssignment):
@@ -52,18 +57,25 @@ class ForcingState:
         self.p = np.full(game.k, 1.0 / game.k)
         self.t = 0
         self.cumulative = np.zeros(game.k)
+        self._flat = game.opponent_payoffs.reshape(game.k, -1)
+        self._kept = (b"", None)  # p's bytes at the last solve, and act()'s answer
 
     def _omega(self) -> np.ndarray:
-        return np.tensordot(self.p, self.game.opponent_payoffs, axes=(0, 0))
+        # tensordot's own (1, k) x (k, m n) product: p @ flat may take another BLAS kernel
+        return np.dot(self.p.reshape(1, -1), self._flat).reshape(self.game.m, self.game.n)
 
     def act(self) -> Optional[np.ndarray]:
         """The round's action x, or None when only aborting remains."""
-        omega = self._omega()
-        if self.game.n == 2:
-            val, x = lp.minmax_rows_by_2(omega)
-        else:
-            val, x, _ = lp.zero_sum_value(omega)
-        return x if val <= float(self.p @ self.c) + _SLACK else None
+        key = self.p.tobytes()
+        if key != self._kept[0]:
+            omega = self._omega()
+            if self.game.n == 2:
+                val, x = lp.minmax_rows_by_2(omega)
+            else:
+                val, x, _ = lp.zero_sum_value(omega)
+            x.flags.writeable = False
+            self._kept = (key, x if val <= float(self.p @ self.c) + _SLACK else None)
+        return self._kept[1]
 
     def certificate(self) -> np.ndarray:
         """The opponent mix that refutes the menu at the current weights."""
@@ -72,7 +84,7 @@ class ForcingState:
     def observe(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Feed the rewards u_{O,i}(x, y) - c_i; returns them."""
         r = np.einsum("i,kij,j->k", x, self.game.opponent_payoffs, y) - self.c
-        self.cumulative = self.cumulative + r
+        self.cumulative += r
         self.t += 1
         self.p = hedge_weights(self.cumulative, self.t, self.game.p_max)
         return r

@@ -114,6 +114,57 @@ def test_step_plays_on_g1_level5_assignment(g1):
         state.observe(x, rng.dirichlet(np.ones(2)))
 
 
+def counting(monkeypatch, name):
+    """Patches lp.<name> to record each call; returns the list of calls."""
+    calls = []
+    solve = getattr(lp, name)
+    monkeypatch.setattr(lp, name, lambda M: calls.append(M) or solve(M))
+    return calls
+
+
+def test_k1_epoch_solves_its_game_once(monkeypatch):
+    # with k = 1 the hedge weights never move, so neither does the game
+    game = random_game(np.random.default_rng([9000, 3, 3, 1]), 3, 3, 1)
+    calls = counting(monkeypatch, "zero_sum_value")
+    run = run_maximin(game, 0.1, make_schedule_adversary(0), 300, seed=1)
+    assert run.abort_count >= 1
+    assert 1 <= len(calls) <= len(run.epochs)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_act_returns_a_read_only_x(n):
+    game = random_game(np.random.default_rng([9100, 3, n, 1]), 3, n, 1)
+    w = np.zeros(3 * n)
+    w[int(np.argmax(game.u_O(0).ravel()))] = 1.0  # the type's favourite: never aborts
+    state = ForcingState(game, CspAssignment((Csp(w),)))
+    x = state.act()
+    assert x is not None and not x.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.5
+    assert state.act() is x
+
+
+@pytest.mark.parametrize("n,solver", [(2, "minmax_rows_by_2"), (3, "zero_sum_value")])
+def test_act_solves_again_when_p_changes(monkeypatch, n, solver):
+    rng = np.random.default_rng([9200, n])
+    game = random_game(rng, 3, n, 2)
+    assign = CspAssignment(tuple(Csp(rng.dirichlet(np.ones(3 * n))) for _ in range(2)))
+    calls = counting(monkeypatch, solver)
+    state = ForcingState(game, assign)
+    state.act()
+    state.act()
+    assert len(calls) == 1
+    state.p = np.array([0.3, 0.7])
+    state.act()
+    assert len(calls) == 2
+    state.p[:] = [0.6, 0.4]  # the same array with new bytes
+    state.act()
+    assert len(calls) == 3
+    state.p = state.p.copy()  # a new array with the same bytes
+    state.act()
+    assert len(calls) == 3
+
+
 def test_hedge_zero_reward_keeps_weights(g1):
     assign = threshold_assignment(g1, 5.0)
     c = candidate_utility_set(assign, 0.0, g1).thresholds
