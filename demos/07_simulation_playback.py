@@ -12,11 +12,11 @@ import numpy as np
 
 from menuopt import (
     BimatrixGame,
+    MenuScheduleLearner,
     menu_violation,
     no_regret_menu,
     optimal_no_regret_commitment,
     optimizer_best_response_policy,
-    realize_menu_learner,
     simulate,
 )
 from menuopt.playback import FixedMixPolicy
@@ -32,7 +32,7 @@ chosen, opp_policy, picked = optimizer_best_response_policy(
 print("opponent picks extra point", picked, "worth",
       round(float(game.u_O(0).ravel() @ chosen.weights), 4), "to itself")
 
-learner = realize_menu_learner(
+learner = MenuScheduleLearner(
     no_regret_menu(game), list(res.extra_points) + [chosen], fallback_menu=res.nsr_menu
 )
 report = simulate(game, learner, opp_policy, T=10_000, chosen_target=len(res.extra_points))

@@ -33,9 +33,7 @@ from .errors import (
 from .lp import LinearProgram, LpSolution, solve_lp, zero_sum_value
 from .menus import (
     HalfspaceMenu,
-    UtilitySet,
     candidate_menu,
-    candidate_utility_set,
     incentive_check,
     menu_violation,
     no_regret_check,
@@ -59,9 +57,9 @@ from .general_commitment import GeneralCommitment, eval_menu_value, optimize_gen
 from .maximin import ForcingState, MaximinRun, run_blackwell_abort, run_maximin, threshold_assignment
 from .playback import (
     ComposedAbortableLearner,
+    MenuScheduleLearner,
     SimReport,
     optimizer_best_response_policy,
-    realize_menu_learner,
     schedule_for,
     simulate,
 )

@@ -33,7 +33,7 @@ import numpy as np
 from . import lp
 from .core import BimatrixGame, Csp, CspAssignment
 from .errors import CertificateInvalid, GridTooLarge, InvalidInput, NumericalFailure
-from .menus import candidate_utility_set
+from .menus import candidate_menu
 
 _NET_CAP = 2_000_000  # refuse absurd nets instead of hanging
 
@@ -158,8 +158,7 @@ class TesterNet:
         """Opponent mix of the zero-sum game of direction `index`."""
         y = self.certificates.get(index)
         if y is None:
-            M_a = np.tensordot(self.points[index], self.game.opponent_payoffs, axes=(0, 0))
-            y = self.certificates[index] = lp.zero_sum_value(M_a)[2]
+            y = self.certificates[index] = halfspace_value(self.game, self.points[index])[2]
         return y.copy()
 
 
@@ -198,19 +197,11 @@ def test_assignment_valid(
     failing returns the first violated net direction (in net order) plus
     its opponent certificate.
     """
-    c = candidate_utility_set(assign, 0.0, game).thresholds
+    c = candidate_menu(assign, 0.0, game).rhs
     return verdict_for_thresholds(game, c, delta, net)
 
 
 test_assignment_valid.__test__ = False  # not a pytest case, despite the name
-
-
-def direction_slacks(
-    assign: CspAssignment, game: BimatrixGame, delta: float
-) -> np.ndarray:
-    """Per-net-direction pass margins a . c + delta/2 - value (diagnostics)."""
-    c = candidate_utility_set(assign, 0.0, game).thresholds
-    return TesterNet.build(game, delta).slacks(c)
 
 
 def separating_hyperplane(
@@ -230,7 +221,7 @@ def separating_hyperplane(
     Among optimal h the lexicographically largest (lowest index favored)
     is returned for determinism.
     """
-    c = candidate_utility_set(assign, 0.0, game).thresholds
+    c = candidate_menu(assign, 0.0, game).rhs
     return separator_for_thresholds(game, c, certificate_y)
 
 

@@ -169,7 +169,7 @@ def cmd_simulate(game: BimatrixGame, args) -> dict:
     chosen, opp_policy, picked = playback.optimizer_best_response_policy(
         menu, extra, game.u_O(args.type), game.u_L, game
     )
-    learner = playback.realize_menu_learner(hull, list(extra) + [chosen], fallback)
+    learner = playback.MenuScheduleLearner(hull, list(extra) + [chosen], fallback)
     stream = None
     if args.stream:
 

@@ -1,4 +1,4 @@
-"""Game model, strategy profiles, transcripts, and value evaluation.
+"""Game model, strategy profiles, transcripts, schedules, and value evaluation.
 
 Conventions used everywhere in the package:
   * the learner owns the m rows, the opponent (optimizer) owns the n
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -165,13 +165,6 @@ class Csp:
         w = sum(lam * p.weights for lam, p in parts)
         return Csp(w)
 
-    def as_matrix(self, m: int, n: int) -> np.ndarray:
-        return self.weights.reshape(m, n)
-
-    def marginal_cols(self, m: int, n: int) -> np.ndarray:
-        """Column (opponent action) marginal."""
-        return self.as_matrix(m, n).sum(axis=0)
-
 
 @dataclass(frozen=True)
 class CspAssignment:
@@ -193,18 +186,6 @@ class CspAssignment:
 
     def __getitem__(self, i: int) -> Csp:
         return self.profiles[i]
-
-    def stacked(self) -> np.ndarray:
-        return np.stack([p.weights for p in self.profiles])
-
-    def flat(self) -> np.ndarray:
-        return self.stacked().ravel()
-
-    @staticmethod
-    def from_flat(vec: np.ndarray, k: int) -> "CspAssignment":
-        vec = np.asarray(vec, dtype=float)
-        block = vec.size // k
-        return CspAssignment(tuple(Csp(vec[i * block : (i + 1) * block]) for i in range(k)))
 
     def to_json(self) -> str:
         return json.dumps({"profiles": [p.weights.tolist() for p in self.profiles]}, sort_keys=True)
@@ -237,10 +218,6 @@ class Transcript:
     def __len__(self) -> int:
         return self.xs.shape[0]
 
-    @property
-    def running_csp(self) -> Csp:
-        return csp_of_transcript(self)
-
 
 def bilinear_value(payoff: np.ndarray, phi: Csp) -> float:
     """Expected payoff sum_{ij} phi_{ij} payoff[i, j]; linear in phi."""
@@ -258,6 +235,23 @@ def csp_of_transcript(t: Transcript) -> Csp:
         raise InvalidInput("transcript has no rounds")
     avg = np.einsum("ti,tj->ij", t.xs, t.ys) / len(t)
     return Csp(avg.ravel())
+
+
+def schedule_pairs(target: Csp) -> Iterator[int]:
+    """Endless pure-pair sequence whose running average tracks `target`.
+
+    Online largest-remainder apportionment: at step t play the pair with
+    the largest deficit w * t - count, lowest index on ties.  The running
+    average stays within O(mn/t) of the target in L1.
+    """
+    w = target.weights
+    counts = np.zeros(w.size)
+    t = 0
+    while True:
+        t += 1
+        p = int(np.argmax(w * t - counts))
+        counts[p] += 1.0
+        yield p
 
 
 def assignment_value(game: BimatrixGame, phi_assign: CspAssignment) -> float:

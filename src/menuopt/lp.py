@@ -172,7 +172,7 @@ def _run_simplex(T, basis, cost, allowed, max_iters):
     raise NumericalFailure("simplex iteration cap exceeded")
 
 
-def solve_lp(lp: LinearProgram, max_iters: int = 0) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Two-phase simplex solve of `lp`, with dual certification when optimal."""
     c, A0, rels, b0, free = _materialize_rows(lp)
     d = c.size
@@ -195,8 +195,7 @@ def solve_lp(lp: LinearProgram, max_iters: int = 0) -> LpSolution:
     row_sign = np.where(neg, -1.0, 1.0)
     c_std = np.concatenate([c, -c[free], np.zeros(n_slack)])
 
-    if max_iters <= 0:
-        max_iters = 20000 + 200 * (nrows + ncols)
+    max_iters = 20000 + 200 * (nrows + ncols)
 
     # Phase 1: artificial basis on every row, minimize total artificial mass.
     total = ncols + nrows

@@ -15,11 +15,14 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import lp
-from .core import BimatrixGame, Csp, CspAssignment, Transcript
+from .approachability import TesterNet, test_assignment_valid
+from .core import BimatrixGame, Csp, CspAssignment, Transcript, schedule_pairs
 from .errors import InvalidInput, NumericalFailure, ThresholdInfeasible
-from .menus import candidate_utility_set
+from .menus import candidate_menu
 
-_SLACK = 1e-9
+# threshold_assignment's tie-break stage may leave c up to lp.TIE_SLACK below
+# a forceable level, so act() allows twice that before it aborts
+_SLACK = 2 * lp.TIE_SLACK
 _SCHEDULE_WRAP = 100_000  # rounds after which the schedule adversary starts over
 
 
@@ -53,7 +56,7 @@ class ForcingState:
     def __init__(self, game: BimatrixGame, assignment: CspAssignment):
         self.game = game
         self.assignment = assignment
-        self.c = candidate_utility_set(assignment, 0.0, game).thresholds
+        self.c = candidate_menu(assignment, 0.0, game).rhs
         self.p = np.full(game.k, 1.0 / game.k)
         self.t = 0
         self.cumulative = np.zeros(game.k)
@@ -138,8 +141,6 @@ def make_schedule_adversary(type_index: int = 0) -> AdversaryFn:
     The schedule restarts every epoch and wraps after 100,000 rounds; its
     pairs are generated only as far as the epoch has played.
     """
-    from .playback import schedule_pairs  # local import avoids a cycle
-
     cache: dict = {}
 
     def policy(view: EpochView, rng: np.random.Generator) -> np.ndarray:
@@ -165,8 +166,6 @@ def make_aborter_adversary(probe_delta: float = 0.02, type_index: int = 0) -> Ad
 
     One tester net, built at the first probe, serves every epoch of the run.
     """
-    from .approachability import TesterNet, test_assignment_valid
-
     schedule = make_schedule_adversary(type_index)
     cache: dict = {}
 

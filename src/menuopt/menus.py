@@ -58,11 +58,6 @@ class HalfspaceMenu:
     def relaxed(self, eps: float) -> "HalfspaceMenu":
         return HalfspaceMenu(self.normals, self.rhs + eps)
 
-    def stacked_with(self, other: "HalfspaceMenu") -> "HalfspaceMenu":
-        return HalfspaceMenu(
-            np.vstack([self.normals, other.normals]), np.concatenate([self.rhs, other.rhs])
-        )
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -86,23 +81,6 @@ class HalfspaceMenu:
         if normals.size == 0:
             raise InvalidInput("menu document has no constraints; use unconstrained()")
         return HalfspaceMenu(normals, rhs)
-
-
-@dataclass(frozen=True)
-class UtilitySet:
-    """Downward-closed orthant {u in R^k : u_i <= thresholds_i}."""
-
-    thresholds: np.ndarray
-
-    def __post_init__(self):
-        t = np.atleast_1d(np.array(self.thresholds, dtype=float))
-        if not np.all(np.isfinite(t)):
-            raise InvalidInput("thresholds must be finite")
-        t.setflags(write=False)
-        object.__setattr__(self, "thresholds", t)
-
-    def contains(self, u: np.ndarray, tol: float = 0.0) -> bool:
-        return bool(np.all(np.asarray(u) <= self.thresholds + tol))
 
 
 def _deviation_gains(game: BimatrixGame) -> np.ndarray:
@@ -145,7 +123,10 @@ def no_swap_regret_check(phi: Csp, game: BimatrixGame, tol: float = 1e-9) -> boo
 
 
 def candidate_menu(assign: CspAssignment, eps: float, game: BimatrixGame) -> HalfspaceMenu:
-    """k constraints u_{O,i} . phi <= u_{O,i}(phi_i) + eps."""
+    """k constraints u_{O,i} . phi <= c_i, one per type.
+
+    `rhs` holds the utility thresholds c_i = u_{O,i}(phi_i) + eps.
+    """
     if eps < 0:
         raise InvalidInput("eps must be nonnegative")
     if len(assign) != game.k:
@@ -155,14 +136,6 @@ def candidate_menu(assign: CspAssignment, eps: float, game: BimatrixGame) -> Hal
         [bilinear_value(game.u_O(i), assign[i]) + eps for i in range(game.k)]
     )
     return HalfspaceMenu(normals, rhs)
-
-
-def candidate_utility_set(assign: CspAssignment, eps: float, game: BimatrixGame) -> UtilitySet:
-    """Per-type utility thresholds c_i = u_{O,i}(phi_i) + eps."""
-    thresholds = np.array(
-        [bilinear_value(game.u_O(i), assign[i]) + eps for i in range(game.k)]
-    )
-    return UtilitySet(thresholds)
 
 
 def incentive_check(assign: CspAssignment, game: BimatrixGame, slack: float = 0.0) -> bool:

@@ -11,35 +11,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import lp
-from .core import BimatrixGame, Csp, CspAssignment, Transcript, bilinear_value
+from .core import (
+    BimatrixGame,
+    Csp,
+    CspAssignment,
+    Transcript,
+    bilinear_value,
+    csp_of_transcript,
+    schedule_pairs,
+)
 from .errors import EmptyMenu, InvalidInput, InvalidTarget, NumericalFailure
 from .maximin import ForcingState
 from .menus import HalfspaceMenu, menu_violation
 
 
-def schedule_pairs(target: Csp) -> Iterator[int]:
-    """Endless pure-pair sequence whose running average tracks `target`.
-
-    Online largest-remainder apportionment: at step t play the pair with
-    the largest deficit w * t - count, lowest index on ties.  The running
-    average stays within O(mn/t) of the target in L1.
-    """
-    w = target.weights
-    counts = np.zeros(w.size)
-    t = 0
-    while True:
-        t += 1
-        p = int(np.argmax(w * t - counts))
-        counts[p] += 1.0
-        yield p
-
-
-def schedule_for(target: Csp, T: int, m: int, n: int) -> np.ndarray:
+def schedule_for(target: Csp, T: int) -> np.ndarray:
     """The first T pairs of `schedule_pairs(target)` as an array."""
     if T < 1:
         raise InvalidInput("schedule horizon must be positive")
@@ -115,7 +106,7 @@ class MenuScheduleLearner(LearnerPolicy):
             target = self.targets[0]
         else:
             target = Csp.uniform(game.m, game.n)
-        self.schedule = schedule_for(target, T, game.m, game.n)
+        self.schedule = schedule_for(target, T)
 
     def _forcing_action(self, c: int) -> np.ndarray:
         if c not in self._forcing_cache:
@@ -140,15 +131,6 @@ class MenuScheduleLearner(LearnerPolicy):
                 self.defected = True
         self.avg += np.outer(x, y).ravel()
         self.rounds += 1
-
-
-def realize_menu_learner(
-    menu: HalfspaceMenu,
-    schedule_targets: Sequence[Csp],
-    fallback_menu: Optional[HalfspaceMenu] = None,
-) -> MenuScheduleLearner:
-    """Policy that publishes schedules for the targets and defends the menu."""
-    return MenuScheduleLearner(menu, schedule_targets, fallback_menu)
 
 
 class BlackwellAbortPolicy(LearnerPolicy):
@@ -203,7 +185,7 @@ class SchedulePolicy(OpponentPolicy):
 
     def reset(self, game: BimatrixGame, T: int) -> None:
         self.game = game
-        self.schedule = schedule_for(self.target, T, game.m, game.n)
+        self.schedule = schedule_for(self.target, T)
 
     def act(self, t: int) -> np.ndarray:
         _, y = pair_to_actions(int(self.schedule[t]), self.game.m, self.game.n)
@@ -219,18 +201,6 @@ class FixedMixPolicy(OpponentPolicy):
 
     def act(self, t: int) -> np.ndarray:
         return self.y
-
-
-class RandomPolicy(OpponentPolicy):
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-
-    def reset(self, game: BimatrixGame, T: int) -> None:
-        self.rng = np.random.default_rng(self.seed)
-        self.n = game.n
-
-    def act(self, t: int) -> np.ndarray:
-        return self.rng.dirichlet(np.ones(self.n))
 
 
 def optimizer_best_response_policy(
@@ -334,7 +304,7 @@ def simulate(
             viol = menu.violation(np.maximum(avg / (t + 1), 0.0))
             max_viol = max(max_viol, viol)
     transcript = Transcript(xs, ys)
-    final = transcript.running_csp
+    final = csp_of_transcript(transcript)
     per_type = np.array([bilinear_value(game.u_O(i), final) for i in range(game.k)])
     return SimReport(
         transcript=transcript,

@@ -20,7 +20,7 @@ from conftest import (
 )
 from menuopt import lp
 from menuopt.approachability import (
-    direction_slacks,
+    TesterNet,
     min_positive_gap,
     test_assignment_valid,
     water_fill_repair,
@@ -46,7 +46,7 @@ from menuopt.playback import (
     ComposedAbortableLearner,
     FixedMixPolicy,
     optimizer_best_response_policy,
-    realize_menu_learner,
+    MenuScheduleLearner,
     simulate,
 )
 from menuopt.stackelberg import type_leader_values
@@ -278,7 +278,7 @@ def _comfortable_assignment(seed: int):
         game = random_game(rng, 2, 2, k)
         V = float(np.min(game.u_L)) + 0.05
         assign = threshold_assignment(game, V)
-        if direction_slacks(assign, game, 0.05).min() >= 0.05:
+        if TesterNet.build(game, 0.05).slacks(candidate_menu(assign, 0.0, game).rhs).min() >= 0.05:
             return game, assign
 
 
@@ -321,7 +321,7 @@ def test_criterion_6_maximin_end_to_end():
             chosen, opp, _ = optimizer_best_response_policy(
                 menu, list(final.profiles), game.u_O(i), game.u_L, game
             )
-            learner = realize_menu_learner(
+            learner = MenuScheduleLearner(
                 menu, list(final.profiles) + [chosen], fallback_menu=menu
             )
             rep = simulate(

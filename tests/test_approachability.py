@@ -14,7 +14,7 @@ from menuopt.approachability import (
 )
 from menuopt.core import BimatrixGame, Csp, CspAssignment, bilinear_value
 from menuopt.errors import CertificateInvalid, InvalidInput
-from menuopt.menus import candidate_menu, candidate_utility_set, response_satisfiable_at
+from menuopt.menus import candidate_menu, response_satisfiable_at
 
 
 def argmax_assignment(game):
@@ -177,8 +177,8 @@ def test_monotone_in_thresholds():
         if not test_assignment_valid(assign, game, 0.05).approachable:
             continue
         lifted = water_fill_repair(assign, game, 0.5)  # only raises thresholds
-        c0 = candidate_utility_set(assign, 0.0, game).thresholds
-        c1 = candidate_utility_set(lifted, 0.0, game).thresholds
+        c0 = candidate_menu(assign, 0.0, game).rhs
+        c1 = candidate_menu(lifted, 0.0, game).rhs
         assert np.all(c1 >= c0 - 1e-12)
         assert test_assignment_valid(lifted, game, 0.05).approachable
 
@@ -225,7 +225,7 @@ def test_separating_hyperplane_warm_start_bound():
             continue
         checked += 1
         a = verdict.direction
-        c = candidate_utility_set(assign, 0.0, game).thresholds
+        c = candidate_menu(assign, 0.0, game).rhs
         val, _, _ = halfspace_value(game, a)
         net_violation = val - float(a @ c)
         _, _, margin = separating_hyperplane(assign, game, verdict.certificate_y)

@@ -6,10 +6,13 @@ menu value and the optimizer's best response on m=1, n=1, duplicate rows
 or columns and identical types, with values worked out by hand.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from conftest import G1_NR_VALUE, G1_NR_WEIGHTS, G1_UL, G1_UO
+from conftest import G1_NR_VALUE, G1_NR_WEIGHTS, G1_UL, G1_UO, random_game
+from menuopt import cli
 from menuopt.core import BimatrixGame
 from menuopt.general_commitment import eval_menu_value
 from menuopt.maximin import (
@@ -61,6 +64,36 @@ def test_single_row_settles_at_the_types_best_column(adversary, n):
     assert abs(r.final_V - target) <= EPS + 1e-9
     assert r.abort_count >= 1
     assert np.array_equal(r.transcript.xs, np.ones((T, 1)))
+
+
+def one_row_game():
+    # u_L = (-0.655, 0.478), u_O = (0.914, -0.219). At the bottom level the
+    # tie-break leaves the threshold c 1e-9 below the value of the only x,
+    # so a forcing slack of 1e-9 aborted every epoch at its first round.
+    return random_game(np.random.default_rng([9001, 1, 2, 1]), 1, 2, 1)
+
+
+@pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
+def test_one_row_game_plays_every_round_at_the_bottom_level(adversary):
+    r = run(one_row_game(), adversary)
+    assert len(r.transcript) == T
+    assert np.all(np.isfinite(r.per_type_avg))
+    assert np.isfinite(r.learner_avg)
+
+
+@pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
+def test_one_row_game_cli_prints_strict_json(adversary, tmp_path, capsys):
+    path = tmp_path / "game.json"
+    path.write_text(one_row_game().to_json())
+    code = cli.run(["maximin", "--game", str(path), "--adversary", adversary, "--T", str(T)])
+    out = capsys.readouterr().out
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(out, parse_constant=reject)
+    assert code == 0
+    assert doc["result"]["epochs"][-1]["start_round"] < T
 
 
 @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))

@@ -63,7 +63,7 @@ def test_forcing_act_caps_the_weighted_game_or_certifies_an_abort(case):
     else:
         # y refutes the menu: no response keeps x (x) y inside it, except
         # one the LP accepts within its feasibility tolerance, which happens
-        # when the abort margin (above 1e-9) is below that tolerance
+        # when the abort margin (above maximin._SLACK = 2e-9) is below that tolerance
         event("refuted" if witness is None else "refuted within LP tolerance")
         assert witness is None or menu.violation(np.outer(witness, y).ravel()) <= 1e-7
 

@@ -24,7 +24,7 @@ from menuopt.maximin import (
     run_maximin,
     threshold_assignment,
 )
-from menuopt.menus import candidate_utility_set
+from menuopt.menus import candidate_menu
 
 SHAPES = [(m, n, k) for m in (1, 2, 3) for n in (1, 2, 3) for k in (1, 2, 3)]
 ADVERSARIES = {
@@ -33,7 +33,7 @@ ADVERSARIES = {
     "random": lambda: random_adversary,
 }
 T = 120
-_SLACK = 1e-9
+_SLACK = 2 * lp.TIE_SLACK
 
 
 def reference_minmax_rows_by_2(M):
@@ -79,7 +79,7 @@ class ReferenceForcingState:
     def __init__(self, game, assignment):
         self.game = game
         self.assignment = assignment
-        self.c = candidate_utility_set(assignment, 0.0, game).thresholds
+        self.c = candidate_menu(assignment, 0.0, game).rhs
         self.p = np.full(game.k, 1.0 / game.k)
         self.t = 0
         self.cumulative = np.zeros(game.k)

@@ -14,7 +14,7 @@ from menuopt.general_commitment import eval_menu_value, optimize_general
 from menuopt.maximin import make_aborter_adversary, run_maximin
 from menuopt.menus import incentive_check, no_regret_check, no_swap_regret_menu
 from menuopt.nr_commitment import nsr_baseline_value, optimal_no_regret_commitment
-from menuopt.playback import optimizer_best_response_policy, realize_menu_learner, simulate
+from menuopt.playback import MenuScheduleLearner, optimizer_best_response_policy, simulate
 from menuopt.stackelberg import type_leader_values
 
 
@@ -102,7 +102,7 @@ def test_three_type_pipeline_end_to_end():
         chosen, opp, _ = optimizer_best_response_policy(
             res.nsr_menu, res.extra_points, game.u_O(i), game.u_L, game
         )
-        learner = realize_menu_learner(
+        learner = MenuScheduleLearner(
             no_regret_menu(game).relaxed(1e-9),
             list(res.extra_points) + [chosen],
             fallback_menu=res.nsr_menu,

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import CR, random_game
 from menuopt import lp
-from menuopt.approachability import direction_slacks, test_assignment_valid
+from menuopt.approachability import TesterNet, test_assignment_valid
 from menuopt.bruteforce import grid_maximin_opt
 from menuopt.core import BimatrixGame, Csp, CspAssignment, bilinear_value
 from menuopt.errors import ThresholdInfeasible
@@ -18,7 +18,7 @@ from menuopt.maximin import (
     run_maximin,
     threshold_assignment,
 )
-from menuopt.menus import candidate_menu, candidate_utility_set, response_satisfiable_at
+from menuopt.menus import candidate_menu, response_satisfiable_at
 
 
 def test_threshold_assignment_bottom_level_gives_argmaxes():
@@ -167,7 +167,7 @@ def test_act_solves_again_when_p_changes(monkeypatch, n, solver):
 
 def test_hedge_zero_reward_keeps_weights(g1):
     assign = threshold_assignment(g1, 5.0)
-    c = candidate_utility_set(assign, 0.0, g1).thresholds
+    c = candidate_menu(assign, 0.0, g1).rhs
     # engineered x, y with u_O(x, y) equal to the threshold -> zero reward
     state = ForcingState(g1, assign)
     state.t = 7
@@ -223,7 +223,7 @@ def test_run_blackwell_regret_and_no_aborts():
     for _ in range(10):
         game = random_game(rng, 2, 2, 2)
         assign = threshold_assignment(game, float(np.min(game.u_L)))
-        slacks = direction_slacks(assign, game, 0.05)
+        slacks = TesterNet.build(game, 0.05).slacks(candidate_menu(assign, 0.0, game).rhs)
         if slacks.min() < 0.05:  # want a comfortable margin
             continue
         done += 1
@@ -260,7 +260,7 @@ def test_run_maximin_menus_nest_across_epochs(g1):
     assert run.abort_count >= 1
     prev = None
     for epoch in run.epochs:
-        c = candidate_utility_set(epoch.assignment, 0.0, g1).thresholds
+        c = candidate_menu(epoch.assignment, 0.0, g1).rhs
         if prev is not None:
             assert np.all(c >= prev - 1e-9)  # relaxing thresholds only
         prev = c
@@ -323,10 +323,10 @@ def test_fast_step_matches_public_step():
         action = state.act()
         # generic-path reference: solve the weighted game exactly
         omega = np.tensordot(state.p, game.opponent_payoffs, axes=(0, 0))
-        c = candidate_utility_set(assign, 0.0, game).thresholds
+        c = candidate_menu(assign, 0.0, game).rhs
         val, x, y = lp.zero_sum_value(omega)
         kappa = float(state.p @ c)
-        assert (action is None) == (val > kappa + 1e-9)
+        assert (action is None) == (val > kappa + 2 * lp.TIE_SLACK)
         if action is not None:
             worst = float(np.max(action @ omega))
             assert worst <= kappa + 1e-8

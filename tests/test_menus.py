@@ -6,7 +6,6 @@ from menuopt.core import BimatrixGame, Csp, CspAssignment, bilinear_value
 from menuopt.menus import (
     HalfspaceMenu,
     candidate_menu,
-    candidate_utility_set,
     incentive_check,
     menu_violation,
     no_regret_check,
@@ -33,7 +32,7 @@ def test_no_regret_accepts_mixture_with_slack(g1):
     assert no_regret_check(phi, g1)
     # value 5 vs the best deviation (row B) worth 4.6
     dev = max(
-        float(g1.u_L[i] @ phi.marginal_cols(3, 2)) for i in range(3)
+        float(g1.u_L[i] @ phi.weights.reshape(3, 2).sum(axis=0)) for i in range(3)
     )
     assert dev == pytest.approx(4.6)
     assert bilinear_value(g1.u_L, phi) == pytest.approx(5.0)
@@ -251,7 +250,12 @@ def test_menu_json_round_trip(g1):
 
 
 def test_utility_set_thresholds(g1):
-    us = candidate_utility_set(CspAssignment((half_cr_half_as(),)), 0.5, g1)
-    assert us.thresholds[0] == pytest.approx(2.5)
-    assert us.contains(np.array([2.5]))
-    assert not us.contains(np.array([2.6]))
+    menu = candidate_menu(CspAssignment((half_cr_half_as(),)), 0.5, g1)
+    assert menu.rhs[0] == pytest.approx(2.5)
+
+    def worth(u):  # a (C,R)/(A,S) mix the type values at u
+        a = (u - 1.0) / 2.0
+        return Csp.mix([(a, Csp.point_mass(2, 0, 3, 2)), (1.0 - a, Csp.point_mass(0, 1, 3, 2))])
+
+    assert menu_violation(worth(2.5), menu) == 0.0
+    assert menu_violation(worth(2.6), menu) > 0.0

@@ -20,11 +20,11 @@ from menuopt.playback import (
     ComposedAbortableLearner,
     FixedMixPolicy,
     LearnerPolicy,
+    MenuScheduleLearner,
     OpponentPolicy,
     SchedulePolicy,
     optimizer_best_response_policy,
     pair_to_actions,
-    realize_menu_learner,
     schedule_for,
     simulate,
 )
@@ -39,7 +39,7 @@ def test_schedule_tracks_target():
     rng = np.random.default_rng(100)
     for T in (100, 10_000):
         target = Csp(rng.dirichlet(np.ones(6)))
-        pairs = schedule_for(target, T, 3, 2)
+        pairs = schedule_for(target, T)
         counts = np.bincount(pairs, minlength=6) / T
         assert np.abs(counts - target.weights).sum() <= 2 * 6 / np.sqrt(T)
         # actual guarantee is much tighter than the acceptance slack
@@ -48,7 +48,7 @@ def test_schedule_tracks_target():
 
 def test_cooperative_schedule_converges_to_target(g1):
     menu, phi = motivating_menu_and_point(g1)
-    learner = realize_menu_learner(no_regret_menu(g1), [phi], fallback_menu=menu)
+    learner = MenuScheduleLearner(no_regret_menu(g1), [phi], fallback_menu=menu)
     report = simulate(g1, learner, SchedulePolicy(phi), 10_000, chosen_target=0)
     assert np.abs(report.final_csp.weights - phi.weights).sum() <= 2 * 6 / np.sqrt(10_000)
     assert report.learner_avg == pytest.approx(5.0, abs=0.01)
@@ -56,7 +56,7 @@ def test_cooperative_schedule_converges_to_target(g1):
 
 def test_defection_against_unconstrained_menu_keeps_zero_violation(g1):
     menu = HalfspaceMenu.unconstrained(6)
-    learner = realize_menu_learner(menu, [Csp.uniform(3, 2)])
+    learner = MenuScheduleLearner(menu, [Csp.uniform(3, 2)])
     defector = FixedMixPolicy(np.array([0.25, 0.75]))
     report = simulate(g1, learner, defector, 500, menu=menu)
     assert report.max_menu_violation == 0.0
@@ -73,7 +73,7 @@ def test_defection_against_certified_candidate_menu():
             continue
         done += 1
         menu = candidate_menu(assign, 0.0, game)
-        learner = realize_menu_learner(menu.relaxed(1e-9), list(assign.profiles))
+        learner = MenuScheduleLearner(menu.relaxed(1e-9), list(assign.profiles))
         T = 10_000
         defector = FixedMixPolicy(np.array([1.0, 0.0]))
         report = simulate(game, learner, defector, T, menu=menu)
@@ -86,7 +86,7 @@ def test_defection_against_certified_candidate_menu():
 
 def test_fallback_violation_step_increment_bound(g1):
     menu, phi = motivating_menu_and_point(g1)
-    learner = realize_menu_learner(no_regret_menu(g1), [phi], fallback_menu=menu)
+    learner = MenuScheduleLearner(no_regret_menu(g1), [phi], fallback_menu=menu)
     defector = FixedMixPolicy(np.array([1.0, 0.0]))
     viols = []
 
@@ -109,7 +109,7 @@ def test_fallback_violation_step_increment_bound(g1):
 def test_invalid_target_rejected(g1):
     menu, phi = motivating_menu_and_point(g1)
     with pytest.raises(InvalidTarget):
-        realize_menu_learner(menu, [phi])  # phi is outside the NSR polytope
+        MenuScheduleLearner(menu, [phi])  # phi is outside the NSR polytope
 
 
 def test_best_response_over_nsr_picks_stackelberg(g1):
@@ -157,7 +157,7 @@ def test_simulate_constant_pure_actions(g1):
 def test_simulated_motivating_menu_matches_example_value(g1):
     menu, phi = motivating_menu_and_point(g1)
     chosen, opp, _ = optimizer_best_response_policy(menu, [phi], g1.u_O(0), g1.u_L, g1)
-    learner = realize_menu_learner(no_regret_menu(g1), [phi, chosen], fallback_menu=menu)
+    learner = MenuScheduleLearner(no_regret_menu(g1), [phi, chosen], fallback_menu=menu)
     report = simulate(g1, learner, opp, 10_000, chosen_target=1)
     assert 4.9 <= report.learner_avg <= 5.0
 
@@ -167,7 +167,7 @@ def test_simulated_commit_nr_menu_reaches_lp_value(g1):
     chosen, opp, _ = optimizer_best_response_policy(
         res.nsr_menu, res.extra_points, g1.u_O(0), g1.u_L, g1
     )
-    learner = realize_menu_learner(
+    learner = MenuScheduleLearner(
         no_regret_menu(g1), list(res.extra_points) + [chosen], fallback_menu=res.nsr_menu
     )
     report = simulate(g1, learner, opp, 10_000, chosen_target=len(res.extra_points))
@@ -185,7 +185,7 @@ def test_nsr_realization_simulates_to_baseline():
         game = random_game(rng, 2, 2, 1)
         menu = no_swap_regret_menu(game)
         chosen, opp, _ = optimizer_best_response_policy(menu, [], game.u_O(0), game.u_L, game)
-        learner = realize_menu_learner(menu.relaxed(1e-9), [chosen])
+        learner = MenuScheduleLearner(menu.relaxed(1e-9), [chosen])
         report = simulate(game, learner, opp, 10_000, chosen_target=0)
         assert report.learner_avg == pytest.approx(
             nsr_baseline_value(game), abs=0.05
@@ -205,7 +205,7 @@ def test_cooperative_playback_gives_each_type_its_threshold(g1):
     chosen, opp, _ = optimizer_best_response_policy(
         menu, list(assign.profiles), g1.u_O(0), g1.u_L, g1
     )
-    learner = realize_menu_learner(menu, list(assign.profiles) + [chosen], fallback_menu=menu)
+    learner = MenuScheduleLearner(menu, list(assign.profiles) + [chosen], fallback_menu=menu)
     rep = simulate(g1, learner, opp, 10_000, chosen_target=len(assign.profiles))
     c0 = bilinear_value(g1.u_O(0), assign[0])
     assert rep.opponent_avg >= c0 - 0.05
@@ -216,7 +216,7 @@ def test_menu_value_matches_simulation_on_general_menu(g1):
     chosen, opp, _ = optimizer_best_response_policy(
         res.menu, res.extra_points, g1.u_O(0), g1.u_L, g1
     )
-    learner = realize_menu_learner(
+    learner = MenuScheduleLearner(
         res.menu, list(res.extra_points) + [chosen], fallback_menu=res.menu
     )
     report = simulate(g1, learner, opp, 10_000, chosen_target=len(res.extra_points))
@@ -234,7 +234,7 @@ class AbortAfter(LearnerPolicy):
 
     def reset(self, game, T, chosen):
         self.game = game
-        self.schedule = schedule_for(self.target, T, game.m, game.n)
+        self.schedule = schedule_for(self.target, T)
         self.played = 0
 
     def act(self, t):
