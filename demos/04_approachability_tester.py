@@ -17,10 +17,10 @@ from menuopt import (
     bilinear_value,
     response_satisfiable_at,
     candidate_menu,
-    separating_hyperplane,
     test_assignment_valid,
     water_fill_repair,
 )
+from menuopt.approachability import separator_for_thresholds
 
 game = BimatrixGame.from_json(open("demos/games/g1.json").read())
 
@@ -42,7 +42,7 @@ menu = candidate_menu(bad, 0.0, game)
 print("  any x with x (x) y inside the menu?", response_satisfiable_at(menu, verdict.certificate_y, game))
 
 # Certificates convert into cuts usable by outer optimization loops.
-h, offset, margin = separating_hyperplane(bad, game, verdict.certificate_y)
+h, offset, margin = separator_for_thresholds(game, menu.rhs, verdict.certificate_y)
 print("  cut: type weights", h, "offset", round(offset, 4), "margin", round(margin, 4))
 
 # Water-filling repairs near-feasible assignments by shifting mass onto

@@ -45,10 +45,8 @@ from .menus import (
 from .stackelberg import StackelbergResult, stackelberg_leader, type_leader_values
 from .approachability import (
     ApproachVerdict,
-    DirectionNet,
     TesterNet,
     halfspace_value,
-    separating_hyperplane,
     test_assignment_valid,
     water_fill_repair,
 )

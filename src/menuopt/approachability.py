@@ -63,25 +63,17 @@ def simplex_lattice(dim: int, denominator: int) -> np.ndarray:
     return out / denominator
 
 
-@dataclass(frozen=True)
-class DirectionNet:
-    """Finite cover of the k-simplex with L1 mesh at most `spacing`."""
-
-    dim: int
-    spacing: float
-    points: np.ndarray
-
-    @staticmethod
-    def build(dim: int, spacing: float) -> "DirectionNet":
-        if spacing <= 0:
-            raise InvalidInput("net spacing must be positive")
-        if dim == 1:
-            return DirectionNet(1, spacing, np.ones((1, 1)))
-        # Largest-remainder rounding onto the lattice with denominator D has
-        # worst-case L1 error 2*floor(dim/2)*ceil(dim/2)/(dim*D).
-        worst = 2 * (dim // 2) * ((dim + 1) // 2) / dim
-        D = max(1, ceil(worst / spacing))
-        return DirectionNet(dim, spacing, simplex_lattice(dim, D))
+def direction_net(dim: int, spacing: float) -> np.ndarray:
+    """Points of a finite cover of the dim-simplex with L1 mesh at most `spacing`."""
+    if spacing <= 0:
+        raise InvalidInput("net spacing must be positive")
+    if dim == 1:
+        return np.ones((1, 1))
+    # Largest-remainder rounding onto the lattice with denominator D has
+    # worst-case L1 error 2*floor(dim/2)*ceil(dim/2)/(dim*D).
+    worst = 2 * (dim // 2) * ((dim + 1) // 2) / dim
+    D = max(1, ceil(worst / spacing))
+    return simplex_lattice(dim, D)
 
 
 @dataclass(frozen=True)
@@ -147,7 +139,7 @@ class TesterNet:
     def build(game: BimatrixGame, delta: float) -> "TesterNet":
         if delta <= 0:
             raise InvalidInput("delta must be positive")
-        points = DirectionNet.build(game.k, delta / (4.0 * game.p_max)).points
+        points = direction_net(game.k, delta / (4.0 * game.p_max))
         return TesterNet(game, delta, points, _net_values(game, points))
 
     def slacks(self, c: np.ndarray) -> np.ndarray:
@@ -204,31 +196,24 @@ def test_assignment_valid(
 test_assignment_valid.__test__ = False  # not a pytest case, despite the name
 
 
-def separating_hyperplane(
-    assign: CspAssignment, game: BimatrixGame, certificate_y: np.ndarray
-) -> Tuple[np.ndarray, float, float]:
-    """Turn an invalidity certificate into a cut in assignment space.
-
-    Solves the zero-sum game between a type-weight vector h on the
-    k-simplex and a learner mix x with payoff
-    sum_i h_i (u_{O,i}(x, y*) - u_{O,i}(phi_i)).  A positive value
-    (the margin) certifies the cut
-
-        sum_i h_i u_{O,i}(phi'_i) >= offset = sum_i h_i u_{O,i}(phi_i),
-
-    which every assignment with a valid candidate menu satisfies with
-    margin-sized slack while `assign` sits exactly on the boundary.
-    Among optimal h the lexicographically largest (lowest index favored)
-    is returned for determinism.
-    """
-    c = candidate_menu(assign, 0.0, game).rhs
-    return separator_for_thresholds(game, c, certificate_y)
-
-
 def separator_for_thresholds(
     game: BimatrixGame, c: np.ndarray, certificate_y: np.ndarray
 ) -> Tuple[np.ndarray, float, float]:
-    """Separator core over raw per-type utility thresholds c."""
+    """Turn an invalidity certificate into a cut on per-type thresholds.
+
+    Solves the zero-sum game between a type-weight vector h on the
+    k-simplex and a learner mix x with payoff
+    sum_i h_i (u_{O,i}(x, y*) - c_i).  A positive value (the margin)
+    certifies the cut
+
+        sum_i h_i u_{O,i}(phi'_i) >= offset = sum_i h_i c_i,
+
+    which every assignment with a valid candidate menu satisfies with
+    margin-sized slack while an assignment with thresholds c sits exactly
+    on the boundary.
+    Among optimal h the lexicographically largest (lowest index favored)
+    is returned for determinism.
+    """
     y = np.asarray(certificate_y, dtype=float)
     if y.shape != (game.n,):
         raise InvalidInput("certificate has wrong dimension")

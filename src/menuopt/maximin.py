@@ -10,6 +10,7 @@ the epoch loop then lowers V and restarts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -116,71 +117,58 @@ def threshold_assignment(game: BimatrixGame, V: float) -> CspAssignment:
     return CspAssignment(tuple(profiles))
 
 
-# Adversary policies are test instruments: callables mapping the visible
-# epoch state to the opponent's next mix.
-AdversaryFn = Callable[["EpochView", np.random.Generator], np.ndarray]
+# Adversaries are test instruments. An adversary is told of each epoch once,
+# with the game and the epoch's assignment, and returns the round policy that
+# maps the run's generator to the opponent's next mix.
+RoundPolicy = Callable[[np.random.Generator], np.ndarray]
+Adversary = Callable[[BimatrixGame, CspAssignment], RoundPolicy]
 
 
-@dataclass
-class EpochView:
-    game: BimatrixGame
-    V: float
-    assignment: CspAssignment
-    round_in_epoch: int
-    hedge_p: np.ndarray
-    epoch_index: int = 0
+def random_adversary(game: BimatrixGame, assignment: CspAssignment) -> RoundPolicy:
+    return lambda rng: rng.dirichlet(np.ones(game.n))
 
 
-def random_adversary(view: EpochView, rng: np.random.Generator) -> np.ndarray:
-    return rng.dirichlet(np.ones(view.game.n))
-
-
-def make_schedule_adversary(type_index: int = 0) -> AdversaryFn:
+def make_schedule_adversary(type_index: int = 0) -> Adversary:
     """Plays the column track of a pure-pair schedule for its assigned profile.
 
     The schedule restarts every epoch and wraps after 100,000 rounds; its
     pairs are generated only as far as the epoch has played.
     """
-    cache: dict = {}
 
-    def policy(view: EpochView, rng: np.random.Generator) -> np.ndarray:
-        if cache.get("epoch") != view.epoch_index:
-            cache["epoch"] = view.epoch_index
-            cache["stream"] = schedule_pairs(view.assignment[type_index])
-            cache["pairs"] = []
-            cache["start"] = view.round_in_epoch
-        t = (view.round_in_epoch - cache["start"]) % _SCHEDULE_WRAP
-        pairs = cache["pairs"]
-        while len(pairs) <= t:
-            pairs.append(next(cache["stream"]))
-        y = np.zeros(view.game.n)
-        y[pairs[t] % view.game.n] = 1.0
-        return y
+    def adversary(game: BimatrixGame, assignment: CspAssignment) -> RoundPolicy:
+        def columns():
+            while True:
+                for pair in islice(schedule_pairs(assignment[type_index]), _SCHEDULE_WRAP):
+                    y = np.zeros(game.n)
+                    y[pair % game.n] = 1.0
+                    yield y
 
-    return policy
+        track = columns()
+        return lambda rng: next(track)
+
+    return adversary
 
 
-def make_aborter_adversary(probe_delta: float = 0.02, type_index: int = 0) -> AdversaryFn:
+def make_aborter_adversary(probe_delta: float = 0.02, type_index: int = 0) -> Adversary:
     """Plays an invalidity certificate whenever the epoch's menu has one,
     otherwise falls back to the assigned schedule.
 
     One tester net, built at the first probe, serves every epoch of the run.
     """
     schedule = make_schedule_adversary(type_index)
-    cache: dict = {}
+    net: Optional[TesterNet] = None
 
-    def policy(view: EpochView, rng: np.random.Generator) -> np.ndarray:
-        if cache.get("epoch") != view.epoch_index:
-            cache["epoch"] = view.epoch_index
-            if "net" not in cache:
-                cache["net"] = TesterNet.build(view.game, probe_delta)
-            verdict = test_assignment_valid(view.assignment, view.game, probe_delta, cache["net"])
-            cache["cert"] = None if verdict.approachable else verdict.certificate_y
-        if cache["cert"] is not None:
-            return cache["cert"]
-        return schedule(view, rng)
+    def adversary(game: BimatrixGame, assignment: CspAssignment) -> RoundPolicy:
+        nonlocal net
+        if net is None:
+            net = TesterNet.build(game, probe_delta)
+        verdict = test_assignment_valid(assignment, game, probe_delta, net)
+        if verdict.approachable:
+            return schedule(game, assignment)
+        cert = verdict.certificate_y
+        return lambda rng: cert
 
-    return policy
+    return adversary
 
 
 ADVERSARIES = {
@@ -202,25 +190,27 @@ class BlackwellRun:
 class _Rounds:
     """The rounds played against one adversary, across forcing epochs."""
 
-    def __init__(self, adversary: AdversaryFn, seed: int):
+    def __init__(self, adversary: Adversary, seed: int):
         self.adversary = adversary
         self.rng = np.random.default_rng(seed)
         self.xs: List[np.ndarray] = []
         self.ys: List[np.ndarray] = []
         self.rewards: List[np.ndarray] = []
 
-    def play_epoch(self, state: ForcingState, V: float, epoch_index: int, T: int) -> int:
+    def play_epoch(self, state: ForcingState, T: int) -> int:
         """Plays on from the next round until the state aborts or round T.
 
-        Returns the round it stopped at: T, or the round it aborted in.
+        The adversary is told of the epoch at its first round that has an
+        action. Returns the round it stopped at: T, or the round it aborted in.
         """
-        start = len(self.xs)
-        for t in range(start, T):
+        policy = None
+        for t in range(len(self.xs), T):
             x = state.act()
             if x is None:
                 return t
-            view = EpochView(state.game, V, state.assignment, t - start, state.p, epoch_index)
-            y = self.adversary(view, self.rng)
+            if policy is None:
+                policy = self.adversary(state.game, state.assignment)
+            y = policy(self.rng)
             self.xs.append(x)
             self.ys.append(y)
             self.rewards.append(state.observe(x, y))
@@ -234,17 +224,16 @@ class _Rounds:
 def run_blackwell_abort(
     game: BimatrixGame,
     assignment: CspAssignment,
-    adversary: AdversaryFn,
+    adversary: Adversary,
     T: int,
     seed: int = 0,
-    V: float = float("nan"),
 ) -> BlackwellRun:
     """Drive one abortable run for up to T rounds against an adversary."""
     if T < 1:
         raise InvalidInput("horizon must be at least one round")
     state = ForcingState(game, assignment)
     rounds = _Rounds(adversary, seed)
-    t = rounds.play_epoch(state, V, 0, T)
+    t = rounds.play_epoch(state, T)
     transcript, rewards = rounds.arrays(game)
     if t == T:
         return BlackwellRun(transcript, rewards, aborted_at=None, certificate=None)
@@ -272,7 +261,7 @@ class MaximinRun:
 def run_maximin(
     game: BimatrixGame,
     eps: float,
-    adversary: AdversaryFn,
+    adversary: Adversary,
     T: int,
     seed: int = 0,
 ) -> MaximinRun:
@@ -288,7 +277,7 @@ def run_maximin(
     abort_count = 0
     floor = float(np.min(game.u_L))
     while True:
-        t = rounds.play_epoch(ForcingState(game, assignment), V, len(epochs) - 1, T)
+        t = rounds.play_epoch(ForcingState(game, assignment), T)
         if t == T:
             break
         abort_count += 1

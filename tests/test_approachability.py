@@ -4,10 +4,10 @@ import pytest
 from conftest import random_csp, random_game
 from menuopt import lp
 from menuopt.approachability import (
-    DirectionNet,
+    direction_net,
     halfspace_value,
     min_positive_gap,
-    separating_hyperplane,
+    separator_for_thresholds,
     simplex_lattice,
     test_assignment_valid,
     water_fill_repair,
@@ -56,10 +56,10 @@ def test_simplex_lattice_matches_recursive_enumeration(dim, D):
 def test_direction_net_covers_in_l1():
     rng = np.random.default_rng(30)
     for dim in (1, 2, 3):
-        net = DirectionNet.build(dim, 0.07)
+        points = direction_net(dim, 0.07)
         for _ in range(200):
             p = rng.dirichlet(np.ones(dim))
-            d = np.abs(net.points - p).sum(axis=1).min()
+            d = np.abs(points - p).sum(axis=1).min()
             assert d <= 0.07 + 1e-12
 
 
@@ -189,7 +189,8 @@ def test_separating_hyperplane_k1_margin(g1):
     assign = CspAssignment((phi,))
     verdict = test_assignment_valid(assign, g1, 0.05)
     assert not verdict.approachable
-    h, offset, margin = separating_hyperplane(assign, g1, verdict.certificate_y)
+    c = candidate_menu(assign, 0.0, g1).rhs
+    h, offset, margin = separator_for_thresholds(g1, c, verdict.certificate_y)
     assert np.allclose(h, [1.0])
     assert offset == pytest.approx(0.25, abs=1e-9)
     y = verdict.certificate_y
@@ -209,7 +210,8 @@ def test_separating_hyperplane_identical_types_tie_break():
     assign = CspAssignment((phi, phi))
     verdict = test_assignment_valid(assign, game, 0.05)
     assert not verdict.approachable
-    h, _, margin = separating_hyperplane(assign, game, verdict.certificate_y)
+    c = candidate_menu(assign, 0.0, game).rhs
+    h, _, margin = separator_for_thresholds(game, c, verdict.certificate_y)
     assert margin > 0
     assert np.allclose(h, [1.0, 0.0], atol=1e-8)
 
@@ -228,7 +230,7 @@ def test_separating_hyperplane_warm_start_bound():
         c = candidate_menu(assign, 0.0, game).rhs
         val, _, _ = halfspace_value(game, a)
         net_violation = val - float(a @ c)
-        _, _, margin = separating_hyperplane(assign, game, verdict.certificate_y)
+        _, _, margin = separator_for_thresholds(game, c, verdict.certificate_y)
         assert margin >= net_violation - 1e-8
     assert checked >= 5
 
@@ -238,7 +240,7 @@ def test_separating_hyperplane_rejects_bogus_certificate():
     game = random_game(rng, 2, 2, 1)
     assign = argmax_assignment(game)  # candidate menu is everything
     with pytest.raises(CertificateInvalid):
-        separating_hyperplane(assign, game, np.array([1.0, 0.0]))
+        separator_for_thresholds(game, candidate_menu(assign, 0.0, game).rhs, np.array([1.0, 0.0]))
 
 
 def test_water_fill_point_mass_on_top_unchanged():

@@ -3,7 +3,8 @@
 run_maximin on m=1, n=1, constant payoffs, identical types and a type
 with prior 0, against each adversary kind; the commitment solvers, the
 menu value and the optimizer's best response on m=1, n=1, duplicate rows
-or columns and identical types, with values worked out by hand.
+or columns and identical types, with values worked out by hand; and
+optimize_general on all of these shapes against the no-regret optimum.
 """
 
 import json
@@ -14,7 +15,7 @@ import pytest
 from conftest import G1_NR_VALUE, G1_NR_WEIGHTS, G1_UL, G1_UO, random_game
 from menuopt import cli
 from menuopt.core import BimatrixGame
-from menuopt.general_commitment import eval_menu_value
+from menuopt.general_commitment import eval_menu_value, optimize_general
 from menuopt.maximin import (
     make_aborter_adversary,
     make_schedule_adversary,
@@ -96,22 +97,29 @@ def test_one_row_game_cli_prints_strict_json(adversary, tmp_path, capsys):
     assert doc["result"]["epochs"][-1]["start_round"] < T
 
 
+def single_column_game():
+    types = ((np.array([[0.5], [0.2], [-0.8]]), 0.7), (np.array([[-0.3], [0.6], [0.1]]), 0.3))
+    return BimatrixGame(np.array([[0.3], [-0.6], [0.9]]), types)
+
+
+def constant_game():
+    return BimatrixGame(np.full((2, 3), 0.4), ((np.full((2, 3), -0.2), 0.5), (np.full((2, 3), 0.7), 0.5)))
+
+
 @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
 def test_single_column_keeps_the_top_level(adversary):
-    u_L = np.array([[0.3], [-0.6], [0.9]])
-    types = ((np.array([[0.5], [0.2], [-0.8]]), 0.7), (np.array([[-0.3], [0.6], [0.1]]), 0.3))
-    r = run(BimatrixGame(u_L, types), adversary)
-    assert r.final_V == float(np.max(u_L))
+    game = single_column_game()
+    r = run(game, adversary)
+    assert r.final_V == float(np.max(game.u_L))
     assert r.abort_count == 0
     assert r.learner_avg == pytest.approx(0.9, abs=1e-12)
 
 
 @pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
 def test_constant_payoffs_keep_the_top_level(adversary):
-    u_L = np.full((2, 3), 0.4)
-    types = ((np.full((2, 3), -0.2), 0.5), (np.full((2, 3), 0.7), 0.5))
-    r = run(BimatrixGame(u_L, types), adversary)
-    assert r.final_V == float(np.max(u_L))
+    game = constant_game()
+    r = run(game, adversary)
+    assert r.final_V == float(np.max(game.u_L))
     assert r.abort_count == 0
     assert r.learner_avg == pytest.approx(0.4, abs=1e-12)
     assert np.allclose(r.per_type_avg, [-0.2, 0.7], rtol=0, atol=1e-12)
@@ -173,8 +181,7 @@ def test_single_row_solvers_follow_the_types_best_column():
 def test_single_column_solvers_play_the_learners_best_row():
     # one opponent column: the only no-regret profile is the learner's
     # best row (u_L 0.9 at row 2), and every type is assigned it
-    types = ((np.array([[0.5], [0.2], [-0.8]]), 0.7), (np.array([[-0.3], [0.6], [0.1]]), 0.3))
-    game = BimatrixGame(np.array([[0.3], [-0.6], [0.9]]), types)
+    game = single_column_game()
     v, csps = type_leader_values(game)
     assert v == pytest.approx([-0.8, 0.1], abs=TOL)
     for csp in csps:
@@ -242,3 +249,25 @@ def test_identical_types_get_identical_profiles(alpha):
             eval_menu_value(no_regret_menu(single), single, eps), abs=TOL
         )
     assert np.allclose(best_response(twin)[0], best_response(single)[0], atol=TOL)
+
+
+# optimize_general searches a superset of the no-regret assignments, so on
+# every degenerate shape it must converge, certify its menu and come within
+# eps of the no-regret optimum.
+GENERAL_GAMES = {
+    "single_row": one_row_game,
+    "single_column": single_column_game,
+    "constant_payoffs": constant_game,
+    "identical_types": lambda: BimatrixGame(U_L, ((U_A, 0.5), (U_A, 0.5))),
+    "zero_prior_type": lambda: BimatrixGame(U_L, ((U_A, 1.0), (U_B, 0.0))),
+    "duplicate_row": lambda: BimatrixGame(G1_UL[[0, 0, 1, 2]], ((G1_UO[[0, 0, 1, 2]], 1.0),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERAL_GAMES))
+def test_optimize_general_reaches_the_no_regret_value(name):
+    game = GENERAL_GAMES[name]()
+    res = optimize_general(game, EPS)
+    assert res.converged
+    assert res.verdict_approachable
+    assert res.value_lower_bound >= optimal_no_regret_commitment(game).value - EPS

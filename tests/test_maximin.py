@@ -8,7 +8,6 @@ from menuopt.bruteforce import grid_maximin_opt
 from menuopt.core import BimatrixGame, Csp, CspAssignment, bilinear_value
 from menuopt.errors import ThresholdInfeasible
 from menuopt.maximin import (
-    EpochView,
     ForcingState,
     hedge_weights,
     make_aborter_adversary,
@@ -285,8 +284,9 @@ def test_run_maximin_bestresponse_per_type_cap():
 
 
 def test_schedule_adversary_follows_the_wrapped_schedule(g1):
-    # the policy must play column j of pair schedule[(round - start) % 100000],
-    # with the schedule computed by the reference loop below
+    # round r of an epoch must play column j of pair schedule[r % 100000],
+    # with the schedule computed by the reference loop below; rounds
+    # 100,000-100,599 check the wrap
     target = Csp(np.array([0.1, 0.25, 0.3, 0.05, 0.2, 0.1]))
     assign = CspAssignment((target,))
     w, counts, ref = target.weights, np.zeros(6), []
@@ -294,13 +294,14 @@ def test_schedule_adversary_follows_the_wrapped_schedule(g1):
         p = int(np.argmax(w * t - counts))
         ref.append(p)
         counts[p] += 1.0
-    policy = make_schedule_adversary(0)
-    rounds = [7] + list(range(7, 507)) + [100_007 + 300, 100_007, 2 * 100_000 + 7 + 599]
-    for r in rounds:
-        y = policy(EpochView(g1, 1.0, assign, r, np.ones(1), 0), None)
-        expect = np.zeros(2)
-        expect[ref[(r - 7) % 100_000] % 2] = 1.0
-        assert np.array_equal(y, expect)
+    policy = make_schedule_adversary(0)(g1, assign)
+    rng = np.random.default_rng(0)
+    for r in range(100_600):
+        y = policy(rng)
+        if r % 100_000 < 600:
+            expect = np.zeros(2)
+            expect[ref[r % 100_000] % 2] = 1.0
+            assert np.array_equal(y, expect)
 
 
 def test_run_maximin_determinism(g1):
