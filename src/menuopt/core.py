@@ -243,13 +243,19 @@ def schedule_pairs(target: Csp) -> Iterator[int]:
     Online largest-remainder apportionment: at step t play the pair with
     the largest deficit w * t - count, lowest index on ties.  The running
     average stays within O(mn/t) of the target in L1.
+
+    The deficits are Python floats: each is the same IEEE product and
+    difference that numpy's `w * t - counts` makes, and `index(max(...))`
+    takes the first maximum, as `np.argmax` does, at a fraction of the cost
+    on vectors of at most a few dozen entries.
     """
-    w = target.weights
-    counts = np.zeros(w.size)
+    w = target.weights.tolist()
+    counts = [0.0] * len(w)
     t = 0
     while True:
         t += 1
-        p = int(np.argmax(w * t - counts))
+        deficits = [wi * t - ci for wi, ci in zip(w, counts)]
+        p = deficits.index(max(deficits))
         counts[p] += 1.0
         yield p
 

@@ -128,20 +128,28 @@ def random_adversary(game: BimatrixGame, assignment: CspAssignment) -> RoundPoli
     return lambda rng: rng.dirichlet(np.ones(game.n))
 
 
+def _one_hot(j: int, n: int) -> np.ndarray:
+    y = np.zeros(n)
+    y[j] = 1.0
+    y.flags.writeable = False
+    return y
+
+
 def make_schedule_adversary(type_index: int = 0) -> Adversary:
     """Plays the column track of a pure-pair schedule for its assigned profile.
 
     The schedule restarts every epoch and wraps after 100,000 rounds; its
-    pairs are generated only as far as the epoch has played.
+    pairs are generated only as far as the epoch has played. Each round
+    yields one of n shared read-only one-hot columns.
     """
 
     def adversary(game: BimatrixGame, assignment: CspAssignment) -> RoundPolicy:
+        pure = [_one_hot(j, game.n) for j in range(game.n)]
+
         def columns():
             while True:
                 for pair in islice(schedule_pairs(assignment[type_index]), _SCHEDULE_WRAP):
-                    y = np.zeros(game.n)
-                    y[pair % game.n] = 1.0
-                    yield y
+                    yield pure[pair % game.n]
 
         track = columns()
         return lambda rng: next(track)

@@ -5,11 +5,35 @@ both sides follow a published deterministic pure-pair schedule whose
 running average converges to the target, and if the opponent ever
 deviates from the schedule the learner switches permanently to halfspace
 forcing dynamics that keep the running average near the menu.
+
+Published tracks.  After `reset`, a policy whose play is fixed in advance
+may publish it as an integer array over rounds 0..T-1: an opponent its
+column track (`OpponentPolicy.track`), a learner its pair track i*n + j
+(`LearnerPolicy.track`), the pairs it plays while the opponent plays their
+columns j.  Let d be the first round where the opponent's column differs
+from the column of the learner's pair.  Every round before d is then known
+before it is played, and `simulate` writes rounds [0, d) in bulk:
+
+* the transcript rows are one-hot, written for all d rounds at once;
+* the running profile is a vector of pair counts, bumped by one per round
+  and divided by the round number; the counts are whole numbers held as
+  floats, so they are exact;
+* the menu is still checked once per round, and `on_round` still sees
+  every round, in order;
+* neither policy acts or observes in those rounds.  The learner is told
+  once to take on the state it would have after them
+  (`LearnerPolicy.fast_forward(d)`); an opponent with a track keeps no
+  state that its rounds would change.
+
+The round loop then goes on from round d.  A policy without a track
+(the default) makes d = 0, and every round is played one by one.  The
+report is the same, bit for bit, either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -17,6 +41,7 @@ import numpy as np
 
 from . import lp
 from .core import (
+    SUM_TOL,
     BimatrixGame,
     Csp,
     CspAssignment,
@@ -31,10 +56,21 @@ from .menus import HalfspaceMenu, menu_violation
 
 
 def schedule_for(target: Csp, T: int) -> np.ndarray:
-    """The first T pairs of `schedule_pairs(target)` as an array."""
+    """The first T pairs of `schedule_pairs(target)` as a read-only array.
+
+    The last few schedules are kept, so the learner and the opponent of one
+    run, who follow the same target, share a single build.
+    """
     if T < 1:
         raise InvalidInput("schedule horizon must be positive")
-    return np.fromiter(islice(schedule_pairs(target), T), dtype=int, count=T)
+    return _schedule(target.weights.tobytes(), T)
+
+
+@lru_cache(maxsize=4)
+def _schedule(weights: bytes, T: int) -> np.ndarray:
+    pairs = np.fromiter(islice(schedule_pairs(Csp(np.frombuffer(weights))), T), dtype=int, count=T)
+    pairs.flags.writeable = False
+    return pairs
 
 
 def pair_to_actions(pair: int, m: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -58,6 +94,16 @@ class LearnerPolicy:
     def observe(self, t: int, x: np.ndarray, y: np.ndarray) -> None:
         pass
 
+    def track(self) -> Optional[np.ndarray]:
+        """The pairs of rounds 0..T-1 while the opponent plays their columns,
+        or None when the play is not fixed in advance."""
+        return None
+
+    def fast_forward(self, d: int) -> None:
+        """Take on the state after rounds 0..d-1 of the track, each met by
+        the track's column; asked only of a policy with a track."""
+        raise NotImplementedError
+
 
 class OpponentPolicy:
     def reset(self, game: BimatrixGame, T: int) -> None:
@@ -68,6 +114,11 @@ class OpponentPolicy:
 
     def observe(self, t: int, x: np.ndarray, y: np.ndarray) -> None:
         pass
+
+    def track(self) -> Optional[np.ndarray]:
+        """The pure columns of rounds 0..T-1, played whatever the learner
+        does, or None when the play is not fixed in advance."""
+        return None
 
 
 class MenuScheduleLearner(LearnerPolicy):
@@ -96,17 +147,28 @@ class MenuScheduleLearner(LearnerPolicy):
         self._forcing_cache: dict = {}
 
     def reset(self, game: BimatrixGame, T: int, chosen_target: Optional[int]) -> None:
-        self.game = game
-        self.defected = False
-        self.avg = np.zeros(game.m * game.n)
-        self.rounds = 0
-        if self.targets and chosen_target is not None:
+        if chosen_target is not None and not 0 <= chosen_target < len(self.targets):
+            raise InvalidInput(f"chosen target {chosen_target} is not an index of {len(self.targets)} schedule targets")
+        if chosen_target is not None:
             target = self.targets[chosen_target]
         elif self.targets:
             target = self.targets[0]
         else:
             target = Csp.uniform(game.m, game.n)
+        if target.weights.size != game.m * game.n:
+            raise InvalidInput("schedule target dimension does not match the game")
+        self.game = game
+        self.defected = False
+        self.avg = np.zeros(game.m * game.n)
+        self.rounds = 0
         self.schedule = schedule_for(target, T)
+
+    def track(self) -> np.ndarray:
+        return self.schedule
+
+    def fast_forward(self, d: int) -> None:
+        self.avg = np.bincount(self.schedule[:d], minlength=self.avg.size).astype(float)
+        self.rounds = d
 
     def _forcing_action(self, c: int) -> np.ndarray:
         if c not in self._forcing_cache:
@@ -191,16 +253,38 @@ class SchedulePolicy(OpponentPolicy):
         _, y = pair_to_actions(int(self.schedule[t]), self.game.m, self.game.n)
         return y
 
+    def track(self) -> np.ndarray:
+        return self.schedule % self.game.n
+
 
 class FixedMixPolicy(OpponentPolicy):
+    """Plays the mix y every round."""
+
     def __init__(self, y: np.ndarray):
-        self.y = np.asarray(y, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if y.ndim != 1 or y.size == 0:
+            raise InvalidInput("an opponent mix must be a nonempty vector")
+        if not np.all(y >= 0.0):
+            raise InvalidInput("an opponent mix must have nonnegative finite entries")
+        if abs(float(np.sum(y)) - 1.0) > SUM_TOL:
+            raise InvalidInput(f"opponent mix mass {np.sum(y)} is not 1")
+        self.y = y
 
     def reset(self, game: BimatrixGame, T: int) -> None:
-        pass
+        if self.y.size != game.n:
+            raise InvalidInput(f"opponent mix has {self.y.size} entries, the game has {game.n} columns")
+        self.T = T
 
     def act(self, t: int) -> np.ndarray:
         return self.y
+
+    def track(self) -> Optional[np.ndarray]:
+        # a y with the bits of a pure column plays that column; [1.0, -0.0]
+        # plays as one but would not be written as one, so it has no track
+        j = int(np.argmax(self.y))
+        pure = np.zeros(self.y.size)
+        pure[j] = 1.0
+        return np.full(self.T, j) if self.y.tobytes() == pure.tobytes() else None
 
 
 def optimizer_best_response_policy(
@@ -276,19 +360,41 @@ def simulate(
     menu: Optional[HalfspaceMenu] = None,
     on_round: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None,
 ) -> SimReport:
-    """Full-information round loop; deterministic given the policies."""
+    """Full-information round loop; deterministic given the policies.
+
+    The rounds before the first one where the opponent leaves the
+    learner's published track are replayed in bulk (module docstring).
+    """
     if T < 1:
         raise InvalidInput("horizon must be positive")
     if menu is not None and menu.n_constraints and menu.dim != game.m * game.n:
         raise InvalidInput("profile dimension does not match the menu")
     learner.reset(game, T, chosen_target)
     opponent.reset(game, T)
-    xs = np.zeros((T, game.m))
-    ys = np.zeros((T, game.n))
-    avg = np.zeros(game.m * game.n)
+    m, n = game.m, game.n
+    xs = np.zeros((T, m))
+    ys = np.zeros((T, n))
+    avg = np.zeros(m * n)
     max_viol = 0.0
     viol = 0.0
-    for t in range(T):
+    pairs, columns = learner.track(), opponent.track()
+    d = 0
+    if pairs is not None and columns is not None:
+        agree = pairs % n == columns
+        d = T if agree.all() else int(np.argmin(agree))
+    if d:
+        pairs = pairs[:d]
+        xs[np.arange(d), pairs // n] = 1.0
+        ys[np.arange(d), pairs % n] = 1.0
+        for t, pair in enumerate(pairs.tolist()):
+            avg[pair] += 1.0
+            if on_round is not None:
+                on_round(t, xs[t], ys[t])
+            if menu is not None:
+                viol = menu.violation(avg / (t + 1))
+                max_viol = max(max_viol, viol)
+        learner.fast_forward(d)
+    for t in range(d, T):
         x = learner.act(t)
         if x is None:
             raise InvalidInput("learner aborted outside a composed policy")

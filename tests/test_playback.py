@@ -4,7 +4,7 @@ import pytest
 from conftest import CR, random_game
 from menuopt.approachability import test_assignment_valid
 from menuopt.core import Csp, bilinear_value
-from menuopt.errors import InvalidTarget
+from menuopt.errors import InvalidInput, InvalidTarget
 from menuopt.general_commitment import eval_menu_value, optimize_general
 from menuopt.maximin import make_aborter_adversary, run_maximin, threshold_assignment
 from menuopt.menus import (
@@ -110,6 +110,28 @@ def test_invalid_target_rejected(g1):
     menu, phi = motivating_menu_and_point(g1)
     with pytest.raises(InvalidTarget):
         MenuScheduleLearner(menu, [phi])  # phi is outside the NSR polytope
+
+
+@pytest.mark.parametrize("y", [[2.0, -1.0], [0.5, 0.4], [np.nan, 1.0], [[0.5, 0.5]], []])
+def test_fixed_mix_rejects_a_non_distribution(y):
+    with pytest.raises(InvalidInput):
+        FixedMixPolicy(np.array(y))
+
+
+def test_fixed_mix_rejects_a_wrong_length_before_any_round(g1):
+    rounds = []
+    learner = MenuScheduleLearner(HalfspaceMenu.unconstrained(6), [Csp.uniform(3, 2)])
+    with pytest.raises(InvalidInput):
+        simulate(g1, learner, FixedMixPolicy(np.full(3, 1 / 3)), 50, on_round=lambda t, x, y: rounds.append(t))
+    assert rounds == []
+
+
+@pytest.mark.parametrize("chosen", [-1, 2, 5])
+def test_schedule_learner_rejects_a_chosen_target_out_of_range(g1, chosen):
+    menu, phi = motivating_menu_and_point(g1)
+    learner = MenuScheduleLearner(no_regret_menu(g1), [phi, phi], fallback_menu=menu)
+    with pytest.raises(InvalidInput):
+        learner.reset(g1, 10, chosen)
 
 
 def test_best_response_over_nsr_picks_stackelberg(g1):

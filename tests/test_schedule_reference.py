@@ -41,6 +41,13 @@ def _dyadic(rng: np.random.Generator, d: int) -> np.ndarray:
     return np.diff(np.concatenate(([0], cuts, [64]))) / 64.0
 
 
+def _decimal(rng: np.random.Generator, d: int) -> np.ndarray:
+    # multiples of 1/20: deficits tie in exact arithmetic, and which pair
+    # wins is decided by how each product and difference rounds
+    cuts = np.sort(rng.integers(0, 21, size=d - 1))
+    return np.diff(np.concatenate(([0], cuts, [20]))) / 20.0
+
+
 def _ties(rng: np.random.Generator, d: int) -> np.ndarray:
     # equal non-dyadic weights on a random support, zero elsewhere, so that
     # equal deficits tie exactly and the lowest index must win
@@ -56,6 +63,7 @@ def targets(d: int):
     yield "point", np.eye(d)[int(rng.integers(d))]
     yield "ties", _ties(rng, d)
     yield "dyadic", _dyadic(rng, d)
+    yield "decimal", _decimal(rng, d)
     yield "random", rng.dirichlet(np.ones(d))
 
 
@@ -80,7 +88,7 @@ def test_schedule_weights_within_the_profile_tolerance():
     assert np.array_equal(library_schedule(Csp(w), 5000), reference_schedule(w, 5000))
 
 
-@pytest.mark.parametrize("kind, d", [("random", 6), ("dyadic", 4), ("ties", 9), ("random", 36)])
+@pytest.mark.parametrize("kind, d", [("random", 6), ("dyadic", 4), ("decimal", 6), ("ties", 9), ("random", 36)])
 def test_schedule_matches_reference_at_long_horizons(kind, d):
     T = 100_000
     w = dict(targets(d))[kind]

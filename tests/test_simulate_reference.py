@@ -176,11 +176,17 @@ def test_schedule_policy_long_run(played):
     assert _bits(got.avg) == _bits(ref.avg)
 
 
-@pytest.mark.parametrize("y", ["first", "last", "mixed"])
+@pytest.mark.parametrize("y", ["first", "last", "mixed", "signed zeros"])
 @pytest.mark.parametrize("menu", ["none", "unconstrained", "no-regret"])
 def test_fixed_mix_opponent(played, y, menu):
     game, learner, _, index = played
-    mix = {"first": np.eye(game.n)[0], "last": np.eye(game.n)[-1], "mixed": np.full(game.n, 1.0 / game.n)}[y]
+    mix = {
+        "first": np.eye(game.n)[0],
+        "last": np.eye(game.n)[-1],
+        "mixed": np.full(game.n, 1.0 / game.n),
+        # equal to column 0 for the learner's defection check, but not in its bits
+        "signed zeros": np.where(np.eye(game.n)[0] > 0, 1.0, -0.0),
+    }[y]
     for chosen_target in (None, 0, index):
         got, ref = run_both(
             game, learner, lambda: FixedMixPolicy(mix), T,
