@@ -58,15 +58,15 @@ from .menus import HalfspaceMenu, menu_violation
 def schedule_for(target: Csp, T: int) -> np.ndarray:
     """The first T pairs of `schedule_pairs(target)` as a read-only array.
 
-    The last few schedules are kept, so the learner and the opponent of one
-    run, who follow the same target, share a single build.
+    The last schedule built is kept, so the learner and the opponent of
+    one run, who follow the same target, share a single build.
     """
     if T < 1:
         raise InvalidInput("schedule horizon must be positive")
     return _schedule(target.weights.tobytes(), T)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _schedule(weights: bytes, T: int) -> np.ndarray:
     pairs = np.fromiter(islice(schedule_pairs(Csp(np.frombuffer(weights))), T), dtype=int, count=T)
     pairs.flags.writeable = False

@@ -134,6 +134,13 @@ def test_schedule_learner_rejects_a_chosen_target_out_of_range(g1, chosen):
         learner.reset(g1, 10, chosen)
 
 
+@pytest.mark.parametrize("m, n", [(2, 2), (4, 2)])
+def test_schedule_learner_rejects_a_target_of_another_dimension(g1, m, n):
+    learner = MenuScheduleLearner(HalfspaceMenu.unconstrained(m * n), [Csp.uniform(m, n)])
+    with pytest.raises(InvalidInput):
+        learner.reset(g1, 10, 0)
+
+
 def test_best_response_over_nsr_picks_stackelberg(g1):
     menu = no_swap_regret_menu(g1)
     chosen, policy, picked = optimizer_best_response_policy(
