@@ -8,11 +8,11 @@ forcing dynamics that keep the running average near the menu.
 
 Published tracks.  After `reset`, a policy whose play is fixed in advance
 may publish it as an integer array over rounds 0..T-1: an opponent its
-column track (`OpponentPolicy.track`), a learner its pair track i*n + j
-(`LearnerPolicy.track`), the pairs it plays while the opponent plays their
-columns j.  Let d be the first round where the opponent's column differs
-from the column of the learner's pair.  Every round before d is then known
-before it is played, and `simulate` writes rounds [0, d) in bulk:
+columns (`OpponentPolicy.track`), a learner its pairs i*n + j
+(`LearnerPolicy.track`), meaning that it plays row i in that round and
+stays on schedule if the opponent plays column j.  Let d be the first
+round where the two columns differ.  Every round before d is known before
+it is played, and `simulate` writes rounds [0, d) in bulk:
 
 * the transcript rows are one-hot, written for all d rounds at once;
 * the running profile is a vector of pair counts, bumped by one per round
@@ -95,8 +95,9 @@ class LearnerPolicy:
         pass
 
     def track(self) -> Optional[np.ndarray]:
-        """The pairs of rounds 0..T-1 while the opponent plays their columns,
-        or None when the play is not fixed in advance."""
+        """Pair i*n + j for each of rounds 0..T-1: the policy plays row i and
+        stays on its track if the opponent plays column j.  None when the
+        play is not fixed in advance."""
         return None
 
     def fast_forward(self, d: int) -> None:
