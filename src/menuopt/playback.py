@@ -41,7 +41,6 @@ import numpy as np
 
 from . import lp
 from .core import (
-    SUM_TOL,
     BimatrixGame,
     Csp,
     CspAssignment,
@@ -247,6 +246,8 @@ class SchedulePolicy(OpponentPolicy):
         self.target = target
 
     def reset(self, game: BimatrixGame, T: int) -> None:
+        if self.target.weights.size != game.m * game.n:
+            raise InvalidInput("schedule target dimension does not match the game")
         self.game = game
         self.schedule = schedule_for(self.target, T)
 
@@ -262,30 +263,15 @@ class FixedMixPolicy(OpponentPolicy):
     """Plays the mix y every round."""
 
     def __init__(self, y: np.ndarray):
-        y = np.asarray(y, dtype=float)
-        if y.ndim != 1 or y.size == 0:
-            raise InvalidInput("an opponent mix must be a nonempty vector")
-        if not np.all(y >= 0.0):
-            raise InvalidInput("an opponent mix must have nonnegative finite entries")
-        if abs(float(np.sum(y)) - 1.0) > SUM_TOL:
-            raise InvalidInput(f"opponent mix mass {np.sum(y)} is not 1")
-        self.y = y
+        Csp(y)  # raises InvalidInput unless y is a distribution
+        self.y = np.asarray(y, dtype=float)
 
     def reset(self, game: BimatrixGame, T: int) -> None:
         if self.y.size != game.n:
             raise InvalidInput(f"opponent mix has {self.y.size} entries, the game has {game.n} columns")
-        self.T = T
 
     def act(self, t: int) -> np.ndarray:
         return self.y
-
-    def track(self) -> Optional[np.ndarray]:
-        # a y with the bits of a pure column plays that column; [1.0, -0.0]
-        # plays as one but would not be written as one, so it has no track
-        j = int(np.argmax(self.y))
-        pure = np.zeros(self.y.size)
-        pure[j] = 1.0
-        return np.full(self.T, j) if self.y.tobytes() == pure.tobytes() else None
 
 
 def optimizer_best_response_policy(
@@ -392,7 +378,7 @@ def simulate(
             if on_round is not None:
                 on_round(t, xs[t], ys[t])
             if menu is not None:
-                viol = menu.violation(avg / (t + 1))
+                viol = menu.violation(np.maximum(avg / (t + 1), 0.0))
                 max_viol = max(max_viol, viol)
         learner.fast_forward(d)
     for t in range(d, T):

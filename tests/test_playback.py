@@ -141,6 +141,14 @@ def test_schedule_learner_rejects_a_target_of_another_dimension(g1, m, n):
         learner.reset(g1, 10, 0)
 
 
+def test_schedule_opponent_rejects_a_target_of_another_dimension(g1):
+    # both column tracks are all 1, so the run would end on schedule
+    learner = MenuScheduleLearner(HalfspaceMenu.unconstrained(6), [Csp.point_mass(0, 1, 3, 2)])
+    opponent = SchedulePolicy(Csp.point_mass(3, 1, 4, 2))
+    with pytest.raises(InvalidInput):
+        simulate(g1, learner, opponent, 10, chosen_target=0)
+
+
 def test_best_response_over_nsr_picks_stackelberg(g1):
     menu = no_swap_regret_menu(g1)
     chosen, policy, picked = optimizer_best_response_policy(
