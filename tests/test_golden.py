@@ -31,6 +31,7 @@ CASES = {
     "check-menu-g332-worst": ["check-menu", "--game", "g332.json", "--assignment", "g332-worst.json"],
     "maximin-aborter-g1": ["maximin", "--game", G1, "--adversary", "aborter", "--T", "2000"],
     "maximin-random-g1": ["maximin", "--game", G1, "--adversary", "random", "--T", "2000"],
+    "maximin-aborter-g7000-222": ["maximin", "--game", "g7000-222.json", "--adversary", "aborter", "--T", "30000"],
     "maximin-g332": ["maximin", "--game", "g332.json", "--T", "600"],
     "maximin-random-g332": ["maximin", "--game", "g332.json", "--adversary", "random", "--T", "600"],
     "simulate-stream-g1": ["simulate", "--game", G1, "--T", "30", "--stream"],
