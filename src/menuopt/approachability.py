@@ -137,8 +137,8 @@ class TesterNet:
 
     @staticmethod
     def build(game: BimatrixGame, delta: float) -> "TesterNet":
-        if delta <= 0:
-            raise InvalidInput("delta must be positive")
+        if not (0 < delta < np.inf):
+            raise InvalidInput("delta must be positive and finite")
         points = direction_net(game.k, delta / (4.0 * game.p_max))
         return TesterNet(game, delta, points, _net_values(game, points))
 

@@ -212,7 +212,9 @@ def cmd_oracle(game: BimatrixGame, args) -> dict:
         return {"valid_on_grid": ok, "certificate_y": None if y is None else y.tolist()}
     if args.oracle == "maximin":
         return {
-            "value": bruteforce.grid_maximin_opt(game, args.resolution, args.delta or 0.02)
+            "value": bruteforce.grid_maximin_opt(
+                game, args.resolution, 0.02 if args.delta is None else args.delta
+            )
         }
     raise InvalidInput(f"unknown oracle {args.oracle!r}")
 
@@ -225,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **extra):
+    def add(name, fn):
         p = sub.add_parser(name, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.add_argument("--game", required=True, help="path to a game JSON document")
         p.set_defaults(func=fn)

@@ -102,8 +102,8 @@ def optimize_general(
     iteration cap ended the search early, in which case best-so-far is
     still returned.
     """
-    if eps <= 0:
-        raise InvalidInput("eps must be positive")
+    if not (0 < eps < np.inf):
+        raise InvalidInput("eps must be positive and finite")
     mn = game.m * game.n
     if delta is None:
         delta = eps / (8.0 * np.sqrt(mn))
@@ -113,6 +113,8 @@ def optimize_general(
     d = k * mn
     if max_iters is None:
         max_iters = int(400 * d * max(1.0, np.log10(max(10.0, game.p_max / eps))) + 2000)
+    elif max_iters < 1:
+        raise InvalidInput("max_iters must be at least 1")
     # relaxation of the simplex and incentive rows; scaled so that cleaning
     # the final point moves utilities by well under eps
     tol = eps * _EQ_TOL_FRACTION / (max(1.0, game.p_max) * (mn + 1))

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import lp
 from .approachability import TesterNet, test_assignment_valid
-from .core import BimatrixGame, Csp, CspAssignment, Transcript, schedule_pairs
+from .core import (BimatrixGame, Csp, CspAssignment, Transcript, bilinear_value,
+                   csp_of_transcript, schedule_pairs)
 from .errors import InvalidInput, NumericalFailure, ThresholdInfeasible
 from .menus import candidate_menu
 
@@ -276,8 +277,8 @@ def run_maximin(
     """Epoch loop: start at the top learner value, back off eps per abort."""
     if T < 1:
         raise InvalidInput("horizon must be at least one round")
-    if eps <= 0:
-        raise InvalidInput("eps must be positive")
+    if not (0 < eps < np.inf):
+        raise InvalidInput("eps must be positive and finite")
     rounds = _Rounds(adversary, seed)
     V = float(np.max(game.u_L))
     assignment = threshold_assignment(game, V)
@@ -289,19 +290,19 @@ def run_maximin(
         if t == T:
             break
         abort_count += 1
+        if V - eps == V:
+            raise InvalidInput(f"eps {eps} is too small to lower the level {V}")
         V -= eps
         if V < floor - eps:  # cannot happen for valid games; safety stop
             break
         assignment = threshold_assignment(game, max(V, floor))
         epochs.append(EpochRecord(V, t, assignment))
     transcript, rewards = rounds.arrays(game)
-    xs, ys = rounds.xs, rounds.ys
-    if xs:
-        per_type = np.array(
-            [float(np.mean([x @ game.u_O(i) @ y for x, y in zip(xs, ys)])) for i in range(game.k)]
-        )
-        learner_avg = float(np.mean([x @ game.u_L @ y for x, y in zip(xs, ys)]))
-    else:
+    if len(transcript):
+        final = csp_of_transcript(transcript)
+        per_type = np.array([bilinear_value(game.u_O(i), final) for i in range(game.k)])
+        learner_avg = float(bilinear_value(game.u_L, final))
+    else:  # only the safety stop ends a run before its first round
         per_type = np.full(game.k, np.nan)
         learner_avg = float("nan")
     return MaximinRun(

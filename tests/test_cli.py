@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +70,13 @@ def test_oracle_maximin(capsys, tmp_path, capsysbinary=None):
     assert code == 0
 
 
+def test_oracle_maximin_rejects_delta_zero(capsys):
+    game = str(Path(__file__).parent / "golden" / "g7000-222.json")
+    code, out = run_cli(capsys, "oracle", "maximin", "--game", game, "--delta", "0")
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "validation"
+
+
 def test_check_menu_roundtrip(capsys, g1_path, tmp_path):
     assign = CspAssignment((Csp.point_mass(0, 1, 3, 2),))
     ap = tmp_path / "assign.json"
@@ -105,6 +113,23 @@ def test_maximin_runs_and_is_deterministic(capsys, g1_path):
     assert out1 == out2  # byte-identical
     doc = json.loads(out1)
     assert doc["result"]["final_V"] == pytest.approx(7.05)
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan"])
+def test_maximin_rejects_non_finite_eps(capsys, g1_path, eps):
+    code, out = run_cli(capsys, "maximin", "--game", g1_path, "--eps", eps, "--T", "50")
+    assert code == 2
+    assert "eps" in json.loads(out)["error"]["message"]
+
+
+def test_check_menu_rejects_nan_delta(capsys, g1_path, tmp_path):
+    ap = tmp_path / "assign.json"
+    ap.write_text(CspAssignment((Csp.point_mass(0, 1, 3, 2),)).to_json())
+    code, out = run_cli(
+        capsys, "check-menu", "--game", g1_path, "--assignment", str(ap), "--delta", "nan"
+    )
+    assert code == 2
+    assert "delta" in json.loads(out)["error"]["message"]
 
 
 def test_simulate_smoke_and_stream(capsys, g1_path):

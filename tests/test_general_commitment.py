@@ -166,6 +166,21 @@ def test_delta_must_respect_eps(g1):
         optimize_general(g1, eps=0.05, delta=0.05)
 
 
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"eps": np.nan}, "eps must be"),
+        ({"eps": np.inf}, "eps must be"),
+        ({"eps": 0.05, "delta": np.nan}, "delta must be"),
+        ({"eps": 0.05, "max_iters": 0}, "max_iters"),
+        ({"eps": 0.05, "max_iters": -3}, "max_iters"),
+    ],
+)
+def test_unusable_inputs_are_rejected(g1, kwargs, message):
+    with pytest.raises(InvalidInput, match=message):
+        optimize_general(g1, **kwargs)
+
+
 def test_menu_contains_extra_points(g1):
     res = optimize_general(g1, eps=0.05)
     from menuopt.menus import menu_violation

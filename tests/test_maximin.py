@@ -5,9 +5,10 @@ from conftest import CR, random_game
 from menuopt import lp
 from menuopt.approachability import TesterNet, test_assignment_valid
 from menuopt.bruteforce import grid_maximin_opt
-from menuopt.core import BimatrixGame, Csp, CspAssignment, bilinear_value
-from menuopt.errors import ThresholdInfeasible
+from menuopt.core import BimatrixGame, Csp, CspAssignment, bilinear_value, csp_of_transcript
+from menuopt.errors import InvalidInput, ThresholdInfeasible
 from menuopt.maximin import (
+    ADVERSARIES,
     ForcingState,
     hedge_weights,
     make_aborter_adversary,
@@ -243,6 +244,39 @@ def test_run_maximin_constant_learner_payoff():
     assert run.final_V == pytest.approx(0.4)
     assert run.abort_count == 0
     assert run.learner_avg == pytest.approx(0.4, abs=1e-9)
+
+
+def _per_round_mean(payoff, transcript):
+    """Reference average: the mean over rounds of x_t . payoff . y_t."""
+    return float(np.mean([x @ payoff @ y for x, y in zip(transcript.xs, transcript.ys)]))
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 1), (2, 3, 2), (3, 2, 3)])
+@pytest.mark.parametrize("adversary", ["random", "schedule", "aborter"])
+def test_run_maximin_averages_are_the_transcript_profile(shape, adversary):
+    # the averages are the payoffs of the time-averaged profile, spelled as
+    # simulate spells them, and agree with the per-round mean to rounding
+    game = random_game(np.random.default_rng([91, *shape]), *shape)
+    run = run_maximin(game, 0.05, ADVERSARIES[adversary](), 1500, seed=1)
+    final = csp_of_transcript(run.transcript)
+    tol = 1e-12 * max(1.0, game.p_max)
+    for i in range(game.k):
+        assert run.per_type_avg[i] == bilinear_value(game.u_O(i), final)
+        assert abs(run.per_type_avg[i] - _per_round_mean(game.u_O(i), run.transcript)) <= tol
+    assert run.learner_avg == bilinear_value(game.u_L, final)
+    assert abs(run.learner_avg - _per_round_mean(game.u_L, run.transcript)) <= tol
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.05, np.inf, np.nan])
+def test_run_maximin_rejects_eps_that_is_not_positive_and_finite(g1, eps):
+    with pytest.raises(InvalidInput, match="eps"):
+        run_maximin(g1, eps, random_adversary, 10)
+
+
+def test_run_maximin_rejects_eps_too_small_to_lower_the_level(g1):
+    # V - 1e-300 == V: the first abort would repeat at round 0 forever
+    with pytest.raises(InvalidInput, match="too small"):
+        run_maximin(g1, 1e-300, make_aborter_adversary(0.02), 2000)
 
 
 def test_run_maximin_aborter_reaches_grid_opt():
