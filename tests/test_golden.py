@@ -32,6 +32,7 @@ CASES = {
     "maximin-aborter-g1": ["maximin", "--game", G1, "--adversary", "aborter", "--T", "2000"],
     "maximin-random-g1": ["maximin", "--game", G1, "--adversary", "random", "--T", "2000"],
     "maximin-aborter-g7000-222": ["maximin", "--game", "g7000-222.json", "--adversary", "aborter", "--T", "30000"],
+    "maximin-random-g7000-232": ["maximin", "--game", "g7000-232.json", "--adversary", "random", "--T", "3000"],
     "maximin-g332": ["maximin", "--game", "g332.json", "--T", "600"],
     "maximin-random-g332": ["maximin", "--game", "g332.json", "--adversary", "random", "--T", "600"],
     "simulate-stream-g1": ["simulate", "--game", G1, "--T", "30", "--stream"],
