@@ -104,8 +104,11 @@ def grid_maximin_opt(game: BimatrixGame, resolution: float, delta: float) -> flo
 
     Returns the largest lattice V whose level-set assignment passes the
     approachability tester; lower-bounds the true maximin optimum up to
-    resolution plus tester slack.
+    resolution plus tester slack. `resolution` is a step in payoff units,
+    so it must be finite and positive but may exceed 1.
     """
+    if not (np.isfinite(resolution) and resolution > 0):
+        raise InvalidInput("resolution must be finite and positive")
     if game.m * game.n > 4 or game.k > 2:
         raise GridTooLarge("maximin oracle is restricted to tiny instances")
     hi = float(np.max(game.u_L))

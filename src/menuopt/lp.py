@@ -17,6 +17,11 @@ a list of objectives in turn, each over the optimal face of the ones
 before; it implements the package's tie rule once: an opponent type takes
 its favourite point, and among points within relax + TIE_SLACK of that
 favourite the learner's best one is chosen.
+
+Three closed forms skip the simplex on the smallest zero-sum games by
+enumerating candidate minimizers: `zero_sum_value_batch2` values a stack
+of m x 2 games, `minmax_rows_by_2` gives the value and x of one m x 2
+game, and `minmax_2_by_cols` those of one 2 x n game.
 """
 
 from __future__ import annotations
@@ -425,3 +430,37 @@ def minmax_rows_by_2(M: np.ndarray) -> Tuple[float, np.ndarray]:
     x = np.zeros(m)
     x[list(support)] = list(support.values())
     return best, x
+
+
+def minmax_2_by_cols(M: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Two-row companion of `minmax_rows_by_2`: value and argmin x.
+
+    With x = (t, 1 - t), f(t) = max_j (t M[0,j] + (1 - t) M[1,j]) is convex
+    and piecewise linear, so its least value lies at a pure row or where two
+    columns' lines cross at some 0 < t < 1. The best pure row is the first
+    row of least max; a crossing replaces it only when f there is lower by
+    more than 1e-15, and a column pair whose slopes M[0,j] - M[1,j] are
+    within 1e-14 has no crossing. Runs on Python floats, as its companion.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != 2 or M.shape[1] == 0:
+        raise InvalidInput("expected a nonempty two-row matrix")
+    rows = M.tolist()
+    cols = list(zip(*rows))
+    top, bottom = max(rows[0]), max(rows[1])
+    best, x = (top, (1.0, 0.0)) if top <= bottom else (bottom, (0.0, 1.0))
+    slope = [a - b for a, b in cols]
+    n = len(cols)
+    for j in range(n):
+        for l in range(j + 1, n):
+            den = slope[j] - slope[l]
+            if abs(den) <= 1e-14:
+                continue
+            t = (cols[l][1] - cols[j][1]) / den
+            if not (0.0 < t < 1.0):
+                continue
+            s = 1.0 - t
+            val = max(t * a + s * b for a, b in cols)
+            if val < best - 1e-15:
+                best, x = val, (t, s)
+    return best, np.array(x)

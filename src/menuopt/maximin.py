@@ -49,10 +49,15 @@ class ForcingState:
     dual mix y* of certificate() refutes response satisfiability of the
     menu and aborting is the only move left.
 
-    act() solves the weighted game again only when the bytes of p differ
-    from those of its last solve, and otherwise returns the kept answer;
-    with k = 1, p never moves, so one solve serves the whole epoch. The x
-    it returns is read-only, because the same array may serve many rounds.
+    act() solves the weighted game in closed form when it has two columns
+    (`lp.minmax_rows_by_2`) or two rows (`lp.minmax_2_by_cols`), and by the
+    simplex (`lp.zero_sum_value`) otherwise; certificate() always takes the
+    simplex, since it needs the dual mix y.
+
+    act() solves again only when the bytes of p differ from those of its
+    last solve, and otherwise returns the kept answer; with k = 1, p never
+    moves, so one solve serves the whole epoch. The x it returns is
+    read-only, because the same array may serve many rounds.
     """
 
     def __init__(self, game: BimatrixGame, assignment: CspAssignment):
@@ -76,6 +81,8 @@ class ForcingState:
             omega = self._omega()
             if self.game.n == 2:
                 val, x = lp.minmax_rows_by_2(omega)
+            elif self.game.m == 2:
+                val, x = lp.minmax_2_by_cols(omega)
             else:
                 val, x, _ = lp.zero_sum_value(omega)
             x.flags.writeable = False

@@ -77,6 +77,14 @@ def test_oracle_maximin_rejects_delta_zero(capsys):
     assert json.loads(out)["error"]["kind"] == "validation"
 
 
+@pytest.mark.parametrize("resolution", ["nan", "inf", "0", "-1"])
+def test_oracle_maximin_rejects_bad_resolution(capsys, resolution):
+    game = str(Path(__file__).parent / "golden" / "g7000-222.json")
+    code, out = run_cli(capsys, "oracle", "maximin", "--game", game, "--resolution", resolution)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "validation"
+
+
 def test_check_menu_roundtrip(capsys, g1_path, tmp_path):
     assign = CspAssignment((Csp.point_mass(0, 1, 3, 2),))
     ap = tmp_path / "assign.json"

@@ -1,5 +1,5 @@
 """Property tests of one forcing round on small random games and of its
-two-column solve (hypothesis)."""
+two-column and two-row solves (hypothesis)."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from menuopt.core import BimatrixGame, Csp, CspAssignment  # noqa: E402
 from menuopt.errors import NumericalFailure  # noqa: E402
 from menuopt.maximin import ForcingState  # noqa: E402
 from menuopt.menus import candidate_menu, response_satisfiable_at  # noqa: E402
-from test_forcing_reference import reference_minmax_rows_by_2  # noqa: E402
+from test_forcing_reference import reference_minmax_2_by_cols, reference_minmax_rows_by_2  # noqa: E402
 
 payoff = st.floats(-1.0, 1.0, allow_nan=False)
 weight = st.floats(0.0, 1.0, allow_nan=False)
@@ -91,6 +91,17 @@ def two_column_games(draw):
 def test_minmax_rows_by_2_equals_reference(M):
     val, x = lp.minmax_rows_by_2(M)
     ref_val, ref_x = reference_minmax_rows_by_2(M)
+    assert val == ref_val
+    assert type(val) is float
+    assert x.tobytes() == ref_x.tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(two_column_games())
+def test_minmax_2_by_cols_equals_reference(M):
+    # the transpose of a two-column game with its rows' gaps as slopes
+    val, x = lp.minmax_2_by_cols(M.T)
+    ref_val, ref_x = reference_minmax_2_by_cols(M.T)
     assert val == ref_val
     assert type(val) is float
     assert x.tobytes() == ref_x.tobytes()

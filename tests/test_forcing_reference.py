@@ -2,7 +2,8 @@
 
 `ReferenceForcingState` is the forcing round written the direct way: Ω by
 `np.tensordot` every round, a fresh solve every round, the numpy
-two-column solve `reference_minmax_rows_by_2`, and a cumulative reward
+two-column and two-row solves `reference_minmax_rows_by_2` and
+`reference_minmax_2_by_cols`, and a cumulative reward
 vector rebuilt on every update. `run_blackwell_abort` and `run_maximin`
 run once with it patched in for `maximin.ForcingState` and once with the
 library's own round, and every transcript, reward, abort round and
@@ -64,6 +65,32 @@ def reference_minmax_rows_by_2(M):
     return best, x
 
 
+def reference_minmax_2_by_cols(M):
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != 2 or M.shape[1] == 0:
+        raise InvalidInput("expected a nonempty two-row matrix")
+    row_vals = np.max(M, axis=1)
+    i0 = int(np.argmin(row_vals))
+    best = float(row_vals[i0])
+    x = np.zeros(2)
+    x[i0] = 1.0
+    slope = M[0] - M[1]
+    n = M.shape[1]
+    for j in range(n):
+        for l in range(j + 1, n):
+            den = slope[j] - slope[l]
+            if abs(den) <= 1e-14:
+                continue
+            t = (M[1, l] - M[1, j]) / den
+            if not (0.0 < t < 1.0):
+                continue
+            cross = float(np.max(t * M[0] + (1.0 - t) * M[1]))
+            if cross < best - 1e-15:
+                best = cross
+                x = np.array([t, 1.0 - t])
+    return best, x
+
+
 def reference_hedge_weights(cumulative, t, p_max):
     k = cumulative.size
     if k == 1 or t == 0:
@@ -91,6 +118,8 @@ class ReferenceForcingState:
         omega = self._omega()
         if self.game.n == 2:
             val, x = reference_minmax_rows_by_2(omega)
+        elif self.game.m == 2:
+            val, x = reference_minmax_2_by_cols(omega)
         else:
             val, x, _ = lp.zero_sum_value(omega)
         return x if val <= float(self.p @ self.c) + _SLACK else None

@@ -1,10 +1,17 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from menuopt import lp
 from menuopt.errors import InvalidInput, NumericalFailure
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # hypothesis is a test extra; its property test is skipped without it
+    given = None
 
 
 def simple(objective, constraints, bounds=None):
@@ -231,6 +238,119 @@ def test_minmax_rows_by_2_matches_and_certifies():
         ref, _, _ = lp.zero_sum_value(M)
         assert val == pytest.approx(ref, abs=1e-9)
         assert float(np.max(x @ M)) == pytest.approx(val, abs=1e-9)
+
+
+def exact_minmax_2_by_cols(M):
+    """Exact value of the 2 x n game M and the interval [lo, hi] of optimal t.
+
+    f(t) = max_j (t M[0,j] + (1 - t) M[1,j]) is convex and piecewise linear,
+    so its minimum and both ends of its argmin lie in {0, 1} and the column
+    crossings; every entry is converted to a Fraction exactly.
+    """
+    cols = [(Fraction(a), Fraction(b)) for a, b in np.asarray(M, dtype=float).T.tolist()]
+
+    def f(t):
+        return max(t * a + (1 - t) * b for a, b in cols)
+
+    ts = {Fraction(0), Fraction(1)}
+    for (aj, bj), (al, bl) in itertools.combinations(cols, 2):
+        den = (aj - bj) - (al - bl)
+        if den != 0 and 0 < (bl - bj) / den < 1:
+            ts.add((bl - bj) / den)
+    value = min(f(t) for t in ts)
+    argmin = [t for t in ts if f(t) == value]
+    return value, min(argmin), max(argmin)
+
+
+def check_minmax_2_by_cols(M, tol=1e-12):
+    """The closed form's value and x against exact arithmetic; returns them."""
+    val, x = lp.minmax_2_by_cols(M)
+    assert type(val) is float and x.shape == (2,)
+    assert x[0] + x[1] == pytest.approx(1.0, abs=1e-15) and np.all(x >= 0.0)
+    # the value is the payoff x caps every column at, computed as the solver does
+    assert val == max(x[0] * a + x[1] * b for a, b in M.T.tolist())
+    assert float(np.max(x @ M)) == pytest.approx(val, rel=0, abs=1e-15)
+    value, lo, hi = exact_minmax_2_by_cols(M)
+    assert abs(Fraction(val) - value) <= tol
+    # x is optimal, up to the slopes within 1e-14 that the solver does not cross
+    assert abs(max(Fraction(x[0]) * a + Fraction(x[1]) * b for a, b in M.T.tolist()) - value) <= tol
+    return val, x, (lo, hi)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_minmax_2_by_cols_matches_exact_and_simplex(n):
+    rng = np.random.default_rng([19, n])
+    games = [rng.uniform(-1.0, 1.0, size=(2, n)) for _ in range(40)]
+    # small integer payoffs: ties, equal slopes and duplicate columns
+    games += [rng.integers(-2, 3, size=(2, n)).astype(float) for _ in range(40)]
+    for M in games:
+        val, x, (lo, hi) = check_minmax_2_by_cols(M)
+        assert lo - 1e-12 <= Fraction(x[0]) <= hi + 1e-12
+        ref, ref_x, _ = lp.zero_sum_value(M)
+        assert val == pytest.approx(ref, abs=1e-12)
+        if lo == hi:
+            assert np.allclose(x, ref_x, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "M, value, x",
+    [
+        # constant matrix: the tie rule keeps the first pure row
+        ([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], 0.5, [1.0, 0.0]),
+        # duplicate columns: the same answer as matching pennies
+        ([[1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]], 0.0, [0.5, 0.5]),
+        # equal slopes: parallel lines never cross, so the lower row wins
+        ([[1.0, 2.0, 3.0], [0.0, 1.0, 2.0]], 2.0, [0.0, 1.0]),
+        # a flat column M[0,j] = M[1,j] floors the value at its height; the
+        # first crossing that reaches the floor is kept
+        ([[1.0, 0.25, -1.0], [-1.0, 0.25, 1.0]], 0.25, [0.625, 0.375]),
+        ([[1.0, -0.5, -1.0], [-1.0, -0.5, 1.0]], 0.0, [0.5, 0.5]),
+        # one column: the lower entry
+        ([[3.0], [-2.0]], -2.0, [0.0, 1.0]),
+        # a crossing that ties the best pure row does not replace it
+        ([[0.0, 0.0], [1.0, -1.0]], 0.0, [1.0, 0.0]),
+    ],
+)
+def test_minmax_2_by_cols_degenerate_games(M, value, x):
+    M = np.array(M)
+    val, got, _ = check_minmax_2_by_cols(M)
+    assert val == value
+    assert np.array_equal(got, x)
+    assert val == pytest.approx(lp.zero_sum_value(M)[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (3, 3), (3, 2), (2, 0), (2,), (2, 2, 2)])
+def test_minmax_2_by_cols_rejects_other_shapes(shape):
+    with pytest.raises(InvalidInput):
+        lp.minmax_2_by_cols(np.zeros(shape))
+
+
+if given is not None:
+    # entries near 0 and slopes near the 1e-14 threshold; columns drawn from
+    # a pool, so duplicate, flat and parallel columns are common
+    _entry = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 1e-300, -1e-15, 1e-15, 0.5]))
+    _slope = st.one_of(
+        st.floats(-1.0, 1.0),
+        st.sampled_from([0.0, -0.0, 1e-16, -1e-16, 5e-15, 1e-14, -1e-14, 2e-14, 0.25]),
+    )
+
+    @st.composite
+    def two_row_games(draw):
+        n = draw(st.integers(1, 6))
+        pool = draw(st.lists(st.tuples(_entry, _slope), min_size=1, max_size=n))
+        cols = [draw(st.sampled_from(pool)) for _ in range(n)]
+        return np.array([[b + d for b, d in cols], [b for b, _ in cols]])
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(two_row_games())
+    def test_minmax_2_by_cols_property_against_exact(M):
+        check_minmax_2_by_cols(M)
+
+else:
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_minmax_2_by_cols_property_against_exact():
+        pass
 
 
 def test_simplex_row_block_placement():

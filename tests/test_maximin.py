@@ -165,6 +165,22 @@ def test_act_solves_again_when_p_changes(monkeypatch, n, solver):
     assert len(calls) == 3
 
 
+def test_two_row_rounds_run_without_the_simplex(monkeypatch):
+    # with m = 2 and k = 2 the weights move every round, and every round's
+    # game is solved in closed form; only an abort's certificate takes the simplex
+    game = random_game(np.random.default_rng([9000, 2, 3, 2]), 2, 3, 2)
+    assign = threshold_assignment(game, float(np.min(game.u_L)))
+
+    def refuse(M):
+        raise AssertionError("a forcing round ran the simplex")
+
+    monkeypatch.setattr(lp, "zero_sum_value", refuse)
+    calls = counting(monkeypatch, "minmax_2_by_cols")
+    run = run_blackwell_abort(game, assign, random_adversary, 3000, seed=1)
+    assert run.aborted_at is None
+    assert len(calls) > 2900
+
+
 def test_hedge_zero_reward_keeps_weights(g1):
     assign = threshold_assignment(g1, 5.0)
     c = candidate_menu(assign, 0.0, g1).rhs
