@@ -3,8 +3,8 @@
 `ReferenceForcingState` is the forcing round written the direct way: Ω by
 `np.tensordot` every round, a fresh solve every round, the numpy
 two-column and two-row solves `reference_minmax_rows_by_2` and
-`reference_minmax_2_by_cols`, and a cumulative reward
-vector rebuilt on every update. `run_blackwell_abort` and `run_maximin`
+`reference_minmax_2_by_cols`, and a cumulative reward vector rebuilt on
+every update. `run_blackwell_abort` and `run_maximin`
 run once with it patched in for `maximin.ForcingState` and once with the
 library's own round, and every transcript, reward, abort round and
 certificate must be exactly equal. Both sides run on the same BLAS, so exact equality is a portable
