@@ -36,6 +36,7 @@ from .errors import CertificateInvalid, GridTooLarge, InvalidInput, NumericalFai
 from .menus import candidate_menu
 
 _NET_CAP = 2_000_000  # refuse absurd nets instead of hanging
+_NET_CHUNK = 65_536  # directions valued at once, so temporaries do not grow with the net
 
 
 def simplex_lattice(dim: int, denominator: int) -> np.ndarray:
@@ -110,22 +111,29 @@ def halfspace_value(game: BimatrixGame, a: np.ndarray) -> Tuple[float, np.ndarra
 
 
 def _net_values(game: BimatrixGame, directions: np.ndarray) -> np.ndarray:
-    """min_x max_y values of M_a for every direction row, vectorized."""
-    stacks = np.tensordot(directions, game.opponent_payoffs, axes=(1, 0))  # (N, m, n)
-    if game.n == 2:
-        return lp.zero_sum_value_batch2(stacks)
-    if game.m == 2:
-        return -lp.zero_sum_value_batch2(-np.swapaxes(stacks, 1, 2))
-    return np.array([lp.zero_sum_value(M)[0] for M in stacks])
+    """min_x max_y values of M_a for every direction row.
+
+    The games M_a are formed and valued by `lp.zero_sum_values` one chunk
+    of `_NET_CHUNK` directions at a time, so memory beyond the returned
+    values is bounded by the chunk, not the net.
+    """
+    values = np.empty(len(directions))
+    for lo in range(0, len(directions), _NET_CHUNK):
+        chunk = slice(lo, lo + _NET_CHUNK)
+        stack = np.tensordot(directions[chunk], game.opponent_payoffs, axes=(1, 0))  # (chunk, m, n)
+        values[chunk] = lp.zero_sum_values(stack)
+    return values
 
 
 @dataclass(frozen=True, eq=False)
 class TesterNet:
     """The direction net of one (game, delta) with every direction's value.
 
-    Certificates of refuting directions are solved on first use and kept,
-    so a solver that asks many verdicts of the same game pays for each
-    direction's zero-sum game once.  Build one per solver call.
+    The values come from `lp.zero_sum_values`, certified but without a
+    simplex per direction.  The certificate y of a refuting direction is
+    solved by the simplex (`halfspace_value`) on first use and kept, so a
+    solver that asks many verdicts of the same game solves each such game
+    once.  Build one per solver call.
     """
 
     game: BimatrixGame

@@ -103,9 +103,10 @@ def grid_maximin_opt(game: BimatrixGame, resolution: float, delta: float) -> flo
     """Descending scan for the highest certified-approachable value level.
 
     Returns the largest lattice V whose level-set assignment passes the
-    approachability tester; lower-bounds the true maximin optimum up to
-    resolution plus tester slack. `resolution` is a step in payoff units,
-    so it must be finite and positive but may exceed 1.
+    approachability tester, raised to the floor min(u_L) when the scan
+    steps past it; lower-bounds the true maximin optimum up to resolution
+    plus tester slack. `resolution` is a step in payoff units, so it must
+    be finite and positive but may exceed 1.
     """
     if not (np.isfinite(resolution) and resolution > 0):
         raise InvalidInput("resolution must be finite and positive")
@@ -121,7 +122,7 @@ def grid_maximin_opt(game: BimatrixGame, resolution: float, delta: float) -> flo
         V = hi - s * resolution
         assign = threshold_assignment(game, min(V, hi))
         if test_assignment_valid(assign, game, delta, net).approachable:
-            return float(min(V, hi))
+            return float(max(V, lo))
     return lo
 
 

@@ -39,3 +39,32 @@ def random_csp(rng: np.random.Generator, mn: int):
     from menuopt.core import Csp
 
     return Csp(rng.dirichlet(np.ones(mn)))
+
+
+def random_tester_instance(rng: np.random.Generator, m: int, n: int, k: int, style: int):
+    """A random game and one of four kinds of assignment to test.
+
+    Styles: 0 independent random profiles, 1 a threshold assignment at a
+    random level, 2 each type's favourite pure pair, 3 one random profile
+    shared by every type.
+    """
+    from menuopt.core import Csp, CspAssignment
+    from menuopt.maximin import threshold_assignment
+
+    game = random_game(rng, m, n, k)
+    if style == 0:
+        assign = CspAssignment(tuple(random_csp(rng, m * n) for _ in range(k)))
+    elif style == 1:
+        V = float(rng.uniform(np.min(game.u_L), np.max(game.u_L)))
+        assign = threshold_assignment(game, V)
+    elif style == 2:
+        profiles = []
+        for i in range(k):
+            w = np.zeros(m * n)
+            w[int(np.argmax(game.u_O(i).ravel()))] = 1.0
+            profiles.append(Csp(w))
+        assign = CspAssignment(tuple(profiles))
+    else:
+        base = random_csp(rng, m * n)
+        assign = CspAssignment(tuple(base for _ in range(k)))
+    return game, assign

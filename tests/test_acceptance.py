@@ -17,6 +17,7 @@ from conftest import (
     G1_UO,
     random_csp,
     random_game,
+    random_tester_instance,
 )
 from menuopt import lp
 from menuopt.approachability import (
@@ -192,27 +193,8 @@ def test_criterion_2_oracle_dominance():
 
 
 def _criterion3_instance(seed: int):
-    rng = np.random.default_rng(1000 + seed)
     m, n = (2, 2) if seed % 2 == 0 else (3, 2)
-    k = 1 + seed % 3
-    game = random_game(rng, m, n, k)
-    style = seed % 4
-    if style == 0:
-        assign = CspAssignment(tuple(random_csp(rng, m * n) for _ in range(k)))
-    elif style == 1:
-        V = float(rng.uniform(np.min(game.u_L), np.max(game.u_L)))
-        assign = threshold_assignment(game, V)
-    elif style == 2:
-        profiles = []
-        for i in range(k):
-            w = np.zeros(m * n)
-            w[int(np.argmax(game.u_O(i).ravel()))] = 1.0
-            profiles.append(Csp(w))
-        assign = CspAssignment(tuple(profiles))
-    else:
-        base = random_csp(rng, m * n)
-        assign = CspAssignment(tuple(base for _ in range(k)))
-    return game, assign
+    return random_tester_instance(np.random.default_rng(1000 + seed), m, n, 1 + seed % 3, seed % 4)
 
 
 def test_criterion_3_tester_soundness():

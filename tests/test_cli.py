@@ -85,6 +85,14 @@ def test_oracle_maximin_rejects_bad_resolution(capsys, resolution):
     assert json.loads(out)["error"]["kind"] == "validation"
 
 
+def test_oracle_maximin_stops_at_the_floor(capsys):
+    # a step of 2 scans past min(u_L) = -0.955808421627 before a level passes
+    game = str(Path(__file__).parent / "golden" / "g7000-222.json")
+    code, doc = run_json(capsys, "oracle", "maximin", "--game", game, "--resolution", "2")
+    assert code == 0
+    assert doc["result"]["value"] == -0.955808421627
+
+
 def test_check_menu_roundtrip(capsys, g1_path, tmp_path):
     assign = CspAssignment((Csp.point_mass(0, 1, 3, 2),))
     ap = tmp_path / "assign.json"

@@ -3,11 +3,13 @@
 Multiplying every payoff by s > 0 changes no decision: the optimal
 assignment stays the same and every value scales by s, so each solver
 should succeed at s = 1e-6 and s = 1e6 with eps and delta scaled along.
-The cases below fail instead, with `NumericalFailure`. The LP kernel
+The marked cases fail instead, with `NumericalFailure`. The LP kernel
 measures feasibility against max(1, |b|, |c|), which ignores the
 constraint matrix and never drops below 1, and optimize_general's
-relaxation uses max(1, p_max) the same way. Each case is marked
-`xfail(strict=True)`; the change that mends it removes its marker.
+relaxation uses max(1, p_max) the same way. Each such case is marked
+`xfail(strict=True)`; the change that mends it removes its marker. The
+tester-net cases pass: `lp.zero_sum_values` values their nets without
+the simplex.
 
 G(m, n, k) is `random_game(default_rng([7000, m, n, k]), m, n, k)`.
 """
@@ -68,9 +70,9 @@ def test_no_regret_commitment_at_scale(shape, s):
 @pytest.mark.parametrize(
     "shape,s",
     [
-        pytest.param((3, 3, 3), 1e-6, id="333-1e-6", marks=fails("primal constraint violated")),
-        pytest.param((3, 3, 3), 1e6, id="333-1e6", marks=fails("primal constraint violated")),
-        pytest.param((3, 3, 2), 1e6, id="332-1e6", marks=fails("zero-sum solve ended with status infeasible")),
+        pytest.param((3, 3, 3), 1e-6, id="333-1e-6"),
+        pytest.param((3, 3, 3), 1e6, id="333-1e6"),
+        pytest.param((3, 3, 2), 1e6, id="332-1e6"),
     ],
 )
 def test_tester_net_at_scale(shape, s):

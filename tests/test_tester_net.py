@@ -1,20 +1,24 @@
 """The shared tester net: one evaluation per solve, verdicts equal to fresh ones."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import random_game
-from menuopt import approachability, general_commitment
+from conftest import random_game, random_tester_instance
+from menuopt import approachability, general_commitment, lp
 from menuopt.approachability import (
     TesterNet,
+    simplex_lattice,
     test_assignment_valid,
     verdict_for_thresholds,
 )
-from menuopt.bruteforce import grid_maximin_opt
+from menuopt.bruteforce import grid_maximin_opt, grid_menu_validity
 from menuopt.core import BimatrixGame, Csp, CspAssignment
 from menuopt.errors import InvalidInput
 from menuopt.general_commitment import optimize_general
 from menuopt.maximin import make_aborter_adversary, run_maximin
+from menuopt.menus import candidate_menu, response_satisfiable_at
 
 
 @pytest.fixture()
@@ -116,3 +120,52 @@ def test_net_of_another_game_or_delta_is_refused():
         test_assignment_valid(assign, twin, 0.1, net)
     with pytest.raises(InvalidInput):
         TesterNet.build(game, 0.0)
+
+
+def unchunked_values(game, points):
+    return lp.zero_sum_values(np.tensordot(points, game.opponent_payoffs, axes=(1, 0)))
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 3), (2, 3, 3)])
+def test_net_values_in_chunks_match_and_bound_memory(shape):
+    game = random_game(np.random.default_rng([3, 2, 3, 0]), *shape)
+    points = simplex_lattice(3, 800)  # 321,201 directions, about five chunks
+    assert len(points) > 4 * approachability._NET_CHUNK
+    tracemalloc.start()
+    try:
+        values = approachability._net_values(game, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(values, unchunked_values(game, points))
+    # beyond the returned values, memory is that of one chunk (about 130
+    # bytes a direction); unchunked, the same net peaks at 39-55 MB
+    assert peak <= values.nbytes + 256 * approachability._NET_CHUNK
+
+
+def test_net_values_of_the_kernel_path_do_not_depend_on_the_chunk(monkeypatch):
+    game = random_game(np.random.default_rng([3, 3, 3, 0]), 3, 3, 3)
+    points = approachability.direction_net(3, 0.2 / (4.0 * game.p_max))
+    monkeypatch.setattr(approachability, "_NET_CHUNK", 100)
+    assert len(points) > 4 * approachability._NET_CHUNK
+    assert np.array_equal(approachability._net_values(game, points), unchunked_values(game, points))
+
+
+def test_tester_soundness_on_3x3_games():
+    # criterion 3's checks on the games that value their nets by kernel
+    # enumeration: a pass survives the opponent grid, a refutation is sound
+    delta = 0.05
+    n_approach, n_refute = 0, 0
+    for seed in range(48):
+        rng = np.random.default_rng([3300, seed])
+        game, assign = random_tester_instance(rng, 3, 3, 2 + seed % 2, seed % 4)
+        verdict = test_assignment_valid(assign, game, delta)
+        if verdict.approachable:
+            n_approach += 1
+            ok, y = grid_menu_validity(assign, game, 0.05, eps=delta)
+            assert ok, f"seed {seed}: grid refuted an approachable verdict at y={y}"
+        else:
+            n_refute += 1
+            witness = response_satisfiable_at(candidate_menu(assign, 0.0, game), verdict.certificate_y, game)
+            assert witness is None, f"seed {seed}: certificate not sound"
+    assert n_approach >= 12 and n_refute >= 12
