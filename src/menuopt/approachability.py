@@ -147,7 +147,7 @@ class TesterNet:
     def build(game: BimatrixGame, delta: float) -> "TesterNet":
         if not (0 < delta < np.inf):
             raise InvalidInput("delta must be positive and finite")
-        points = direction_net(game.k, delta / (4.0 * game.p_max))
+        points = direction_net(game.k, delta / (4.0 * game.p_max) if game.p_max else np.inf)
         return TesterNet(game, delta, points, _net_values(game, points))
 
     def slacks(self, c: np.ndarray) -> np.ndarray:

@@ -23,10 +23,10 @@ simplex per game.  An optimal mix of each player is a vertex fixed by a
 square kernel, a pair of equal-size row and column supports (Shapley and
 Snow 1950), so the least upper bound over every kernel's mix is the
 value; the column player's kernels give the matching lower bound, which
-certifies it.  The smallest games have closed forms that enumerate
-candidate minimizers: `zero_sum_value_batch2` values a stack of m x 2
-games, `minmax_rows_by_2` gives the value and x of one m x 2 game, and
-`minmax_2_by_cols` those of one 2 x n game.
+certifies it.  `zero_sum_value_batch2` bounds every kernel of size <= 2 in
+closed form, which values any game with two rows or two columns; larger
+kernels take stacked linear solves.  `minmax_rows_by_2` gives the value
+and x of one m x 2 game, and `minmax_2_by_cols` those of one 2 x n game.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ _FEAS_TOL = 1e-8
 _DUAL_TOL = 1e-7
 TIE_SLACK = 1e-9  # slack of the optimal-face row between lexicographic stages
 # Kernel count C(m + n, m) - 1 above which `zero_sum_values` runs one simplex
-# per game: on 41 games of 5x5 (251 kernels) the enumeration took 22.7 ms
-# and the simplex 14.3 ms (2-vCPU guest, BLAS at one thread).
+# per game: on 41 games of 5x5 (251 kernels) the enumeration took 32.0 ms
+# and the simplex 26.2 ms (median of 9; 2-vCPU guest, BLAS at one thread).
 _KERNEL_CAP = 100
 _CERTIFY_TOL = 1e-9  # largest gap between the two players' bounds, per max(1, |M|)
 
@@ -385,22 +385,18 @@ def zero_sum_value(M: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
 def zero_sum_values(stack: np.ndarray) -> np.ndarray:
     """Row-minimizer values min_x max_y x^T M y of every game in a stack.
 
-    `stack` has shape (N, m, n).  Games with two columns or two rows take
-    `zero_sum_value_batch2`.  Larger ones are valued by enumerating their
-    square kernels, once for each player; a game whose two bounds differ by
+    `stack` has shape (N, m, n).  Games with at most two columns or rows
+    take `zero_sum_value_batch2`.  Larger ones are valued by enumerating
+    their square kernels, once for each player; a game whose bounds differ by
     more than 1e-9 * max(1, max|M|) is solved again by `zero_sum_value`, so
     no value is returned uncertified.  Shapes with more than `_KERNEL_CAP`
     kernels call `zero_sum_value` on every game.
     """
-    stack = np.asarray(stack, dtype=float)
-    if stack.ndim != 3 or stack.shape[1] == 0 or stack.shape[2] == 0:
-        raise InvalidInput("expected a stack of shape (N, m, n) with m, n >= 1")
-    if not np.all(np.isfinite(stack)):
-        raise InvalidInput("payoff matrices must be finite")
+    stack = _checked_stack(stack)
     m, n = stack.shape[1:]
-    if n == 2:
+    if n <= 2:
         return zero_sum_value_batch2(stack)
-    if m == 2:
+    if m <= 2:
         return -zero_sum_value_batch2(-np.swapaxes(stack, 1, 2))
     if comb(m + n, m) - 1 > _KERNEL_CAP:
         return np.array([zero_sum_value(M)[0] for M in stack])
@@ -412,18 +408,27 @@ def zero_sum_values(stack: np.ndarray) -> np.ndarray:
     return upper
 
 
+def _checked_stack(stack: np.ndarray) -> np.ndarray:
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] == 0 or stack.shape[2] == 0:
+        raise InvalidInput("expected a stack of shape (N, m, n) with m, n >= 1")
+    if not np.all(np.isfinite(stack)):
+        raise InvalidInput("payoff matrices must be finite")
+    return stack
+
+
 def _kernel_upper_bounds(stack: np.ndarray) -> np.ndarray:
     """Least max_j x . M[:, j] over the row mixes of every square kernel.
 
     Kernel (I, J) fixes x_I by M[I, J]^T x_I = v 1, sum(x_I) = 1.  Each
     solution with x >= -1e-12, clipped and renormalized, is a real mix, so
-    its worst column is an upper bound on the value; pure rows are the
-    kernels of size 1.  The optimal mix's kernel is among them, so the
-    least bound is the value up to round-off.
+    its worst column bounds the value from above; `zero_sum_value_batch2`
+    bounds kernels of size <= 2, stacked solves the rest.  The optimal mix's
+    kernel is among them, so the least bound is the value up to round-off.
     """
     n_games, m, n = stack.shape
-    best = np.max(stack, axis=2).min(axis=1)
-    for s in range(2, min(m, n) + 1):
+    best = zero_sum_value_batch2(stack)
+    for s in range(3, min(m, n) + 1):
         border = np.zeros((n_games, s + 1, s + 1))
         border[:, :s, s] = -1.0
         border[:, s, :s] = 1.0
@@ -456,28 +461,28 @@ def _solve_kernels(border: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def zero_sum_value_batch2(stack: np.ndarray) -> np.ndarray:
-    """Row-minimizer values for a stack of games with two columns.
+    """Least bound over the kernels of size <= 2 of every game in a stack.
 
-    `stack` has shape (N, m, 2).  The value min_x max(x.M[:,0], x.M[:,1])
-    of each game is found by enumerating the candidate minimizers: the
-    simplex vertices plus every two-row crossing of the two column
-    payoffs.  Vectorized; used on hot paths where calling the simplex per
-    game would dominate the runtime.
+    `stack` has shape (N, m, n).  The candidates are the pure rows and, for
+    every column pair (a, b) and row pair (i, j), the mix t e_i + (1 - t) e_j,
+    0 < t < 1, at which columns a and b pay the same; it is bounded by the
+    columns other than b.  This is the value min_x max_y x^T M y when m <= 2
+    or n <= 2; with m, n >= 3 it is an upper bound, not the value.
+    Vectorized; used on hot paths where a simplex per game would dominate.
     """
-    stack = np.asarray(stack, dtype=float)
-    if stack.ndim != 3 or stack.shape[2] != 2:
-        raise InvalidInput("expected a stack of shape (N, m, 2)")
-    n_games, m, _ = stack.shape
+    stack = _checked_stack(stack)
+    m, n = stack.shape[1:]
     best = np.max(stack, axis=2).min(axis=1)  # pure rows
-    g = stack[:, :, 0] - stack[:, :, 1]
-    for i in range(m):
-        for j in range(i + 1, m):
+    for a, b in combinations(range(n), 2):
+        g = stack[:, :, a] - stack[:, :, b]
+        others = stack[:, :, np.arange(n) != b]
+        for i, j in combinations(range(m), 2):
             gi, gj = g[:, i], g[:, j]
             den = gj - gi
             with np.errstate(divide="ignore", invalid="ignore"):
                 t = np.where(np.abs(den) > 1e-14, gj / den, np.nan)
             valid = np.isfinite(t) & (t > 0.0) & (t < 1.0)
-            cross = t * stack[:, i, 0] + (1.0 - t) * stack[:, j, 0]
+            cross = np.max(t[:, None] * others[:, i] + (1.0 - t)[:, None] * others[:, j], axis=1)
             best = np.where(valid & (cross < best), cross, best)
     return best
 

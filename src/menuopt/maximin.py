@@ -29,10 +29,10 @@ _SCHEDULE_WRAP = 100_000  # rounds after which the schedule adversary starts ove
 
 
 def hedge_weights(cumulative: np.ndarray, t: int, p_max: float) -> np.ndarray:
-    """Weights proportional to exp(eta_t * cumulative), with the anytime rate
-    eta_t = sqrt(ln k / t) / (2 * p_max) for rewards in [-2 p_max, 2 p_max]."""
+    """Weights proportional to exp(eta_t * cumulative), uniform when p_max = 0,
+    with eta_t = sqrt(ln k / t) / (2 * p_max) for rewards in [-2 p_max, 2 p_max]."""
     k = cumulative.size
-    if k == 1 or t == 0:
+    if k == 1 or t == 0 or p_max == 0:
         return np.full(k, 1.0 / k)
     eta = np.sqrt(np.log(k) / t) / (2.0 * p_max)
     z = eta * cumulative

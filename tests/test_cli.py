@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import G1_NR_VALUE
@@ -91,6 +92,51 @@ def test_oracle_maximin_stops_at_the_floor(capsys):
     code, doc = run_json(capsys, "oracle", "maximin", "--game", game, "--resolution", "2")
     assert code == 0
     assert doc["result"]["value"] == -0.955808421627
+
+
+ZERO_DOC = {
+    "m": 2,
+    "n": 2,
+    "u_L": [[0, 0], [0, 0]],
+    "types": [{"u_O": [[0, 0], [0, 0]], "alpha": 0.5}, {"u_O": [[0, 0], [0, 0]], "alpha": 0.5}],
+}
+
+
+@pytest.fixture()
+def zero_path(tmp_path):
+    p = tmp_path / "zero.json"
+    p.write_text(json.dumps(ZERO_DOC))
+    return str(p)
+
+
+# every payoff is 0, so p_max = 0: the tester net is the k pure directions
+# and the hedge weights stay uniform; no command may divide by p_max
+@pytest.mark.filterwarnings("error")
+def test_check_menu_on_an_all_zero_game(capsys, zero_path, tmp_path):
+    assign = CspAssignment((Csp.point_mass(0, 0, 2, 2), Csp(np.full(4, 0.25))))
+    ap = tmp_path / "assign.json"
+    ap.write_text(assign.to_json())
+    code, doc = run_json(capsys, "check-menu", "--game", zero_path, "--assignment", str(ap))
+    assert code == 0
+    assert doc["result"]["approachable"] is True
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("adversary", [[], ["--adversary", "aborter"]], ids=["default", "aborter"])
+def test_maximin_on_an_all_zero_game(capsys, zero_path, adversary):
+    code, doc = run_json(capsys, "maximin", "--game", zero_path, "--T", "200", *adversary)
+    assert code == 0
+    res = doc["result"]
+    assert res["abort_count"] == 0
+    assert res["final_V"] == 0.0
+    assert res["learner_avg"] == 0.0 and res["per_type_avg"] == [0.0, 0.0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_oracle_maximin_on_an_all_zero_game(capsys, zero_path):
+    code, doc = run_json(capsys, "oracle", "maximin", "--game", zero_path)
+    assert code == 0
+    assert doc["result"]["value"] == 0.0
 
 
 def test_check_menu_roundtrip(capsys, g1_path, tmp_path):

@@ -76,6 +76,34 @@ def test_two_row_and_two_column_games_keep_the_closed_form():
     wide = rng.uniform(-1.0, 1.0, size=(50, 2, 4))
     assert np.array_equal(lp.zero_sum_values(tall), lp.zero_sum_value_batch2(tall))
     assert np.array_equal(lp.zero_sum_values(wide), -lp.zero_sum_value_batch2(-np.swapaxes(wide, 1, 2)))
+    # one row or one column: the value is that row's max or that column's min
+    assert np.array_equal(lp.zero_sum_values(wide[:, :1]), wide[:, 0].max(axis=1))
+    assert np.array_equal(lp.zero_sum_values(tall[:, :, :1]), tall[:, :, 0].min(axis=1))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 4), (4, 3), (4, 4)])
+def test_stacked_solves_start_at_kernels_of_size_3(shape, monkeypatch):
+    stack = np.random.default_rng(list(shape)).uniform(-1.0, 1.0, size=(40, *shape))
+    sizes, solve = [], lp._solve_kernels
+
+    def recorded(border, rhs):
+        sizes.append(border.shape[1])
+        return solve(border, rhs)
+
+    monkeypatch.setattr(lp, "_solve_kernels", recorded)
+    lp.zero_sum_values(stack)
+    # a kernel of size s is a bordered system of size s + 1; size 2 is closed form
+    assert sizes and min(sizes) == 4
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batch2_bounds_the_value_from_above(m, n):
+    stack = np.random.default_rng([m, n, 2]).uniform(-1.0, 1.0, size=(60, m, n))
+    bound, reference = lp.zero_sum_value_batch2(stack), simplex_values(stack)
+    assert np.all(bound >= reference - 1e-9)
+    if min(m, n) == 2:  # every kernel has size <= 2: the bound is the value
+        assert np.max(np.abs(bound - reference)) <= 1e-9
 
 
 @pytest.mark.parametrize("shape", [(4, 5), (5, 4), (5, 5)])
@@ -108,12 +136,15 @@ def test_a_game_whose_bounds_disagree_is_solved_again(monkeypatch):
 
 
 def test_rejects_malformed_stacks():
-    for bad in (np.zeros((3, 3)), np.zeros((2, 0, 3)), np.zeros((2, 3, 0))):
-        with pytest.raises(InvalidInput):
-            lp.zero_sum_values(bad)
-    with pytest.raises(InvalidInput):
-        lp.zero_sum_values(np.full((1, 3, 3), np.nan))
-    assert lp.zero_sum_values(np.zeros((0, 3, 3))).shape == (0,)
+    for values in (lp.zero_sum_values, lp.zero_sum_value_batch2):
+        for bad in (np.zeros((3, 3)), np.zeros((2, 0, 3)), np.zeros((2, 3, 0)), np.zeros((3, 0, 2))):
+            with pytest.raises(InvalidInput):
+                values(bad)
+        for entry in (np.nan, np.inf):
+            for shape in ((1, 3, 2), (1, 3, 3)):
+                with pytest.raises(InvalidInput):
+                    values(np.full(shape, entry))
+        assert values(np.zeros((0, 3, 3))).shape == (0,)
 
 
 def test_generic_3x3_net_is_built_without_the_simplex(monkeypatch):
@@ -152,3 +183,16 @@ if given is not None:
         # any row mix bounds the value from above, any column mix from below
         assert float(np.min(M @ y)) - tol <= value <= float(np.max(M.T @ x)) + tol
         assert -lp._kernel_upper_bounds(-M.T[None])[0] <= value + tol
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda m: st.integers(2, 4).flatmap(lambda n: arrays(float, (m, n), elements=st.integers(-2, 2)))
+        )
+    )
+    def test_batch2_bound_is_never_below_the_value(M):
+        bound = lp.zero_sum_value_batch2(M[None])[0]
+        value = lp.zero_sum_value(M)[0]
+        assert bound >= value - 1e-9
+        if min(M.shape) == 2:
+            assert bound == pytest.approx(value, abs=1e-9)
