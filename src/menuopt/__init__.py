@@ -34,6 +34,7 @@ from .lp import LinearProgram, LpSolution, solve_lp, zero_sum_value
 from .menus import (
     HalfspaceMenu,
     candidate_menu,
+    eval_menu_value,
     incentive_check,
     menu_violation,
     no_regret_check,
@@ -51,7 +52,7 @@ from .approachability import (
     water_fill_repair,
 )
 from .nr_commitment import NoRegretCommitment, nsr_baseline_value, optimal_no_regret_commitment
-from .general_commitment import GeneralCommitment, eval_menu_value, optimize_general
+from .general_commitment import GeneralCommitment, optimize_general
 from .maximin import ForcingState, MaximinRun, run_blackwell_abort, run_maximin, threshold_assignment
 from .playback import (
     ComposedAbortableLearner,

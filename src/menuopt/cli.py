@@ -42,9 +42,9 @@ def _emit(command: str, digest: str, result: dict) -> None:
     print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _round_floats(obj, places: int = 12):
+def _round_floats(obj):
     if isinstance(obj, float):
-        return round(obj, places)
+        return round(obj, 12)
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

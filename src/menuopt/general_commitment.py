@@ -6,6 +6,9 @@ assignments whose candidate menu is a valid menu; the latter is accessed
 only through the approachability tester, whose invalidity certificates
 convert into separating hyperplanes.  Central-cut ellipsoid iterations
 shrink the localization set until its objective range is below eps/2.
+When u_L is all 0 the objective is constant, and the first centre that
+passes every check ends the search.  To value the returned menu, use
+`menus.eval_menu_value`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .approachability import (
     water_fill_repair,
 )
 from .core import BimatrixGame, Csp, CspAssignment, assignment_value
-from .errors import EmptyMenu, InvalidInput, NumericalFailure
+from .errors import InvalidInput
 from .menus import HalfspaceMenu, candidate_menu
 
 _EQ_TOL_FRACTION = 0.01  # relax the simplex and IC rows by eps/100
@@ -39,28 +42,6 @@ class GeneralCommitment:
     converged: bool
     iterations: int
     verdict_approachable: bool
-
-
-def eval_menu_value(menu: HalfspaceMenu, game: BimatrixGame, eps: float) -> float:
-    """Learner value of a menu under eps-relaxed opponent best response.
-
-    Per type: the type's top utility over the menu, then the learner's
-    best profile among menu points within eps of that top.
-    """
-    mn = game.m * game.n
-    base = [lp.simplex_row(mn)]
-    for c in range(menu.n_constraints):
-        base.append((menu.normals[c], lp.LE, float(menu.rhs[c])))
-    total = 0.0
-    for i in range(game.k):
-        stages = lp.solve_lexicographic([game.u_O(i).ravel(), game.u_L.ravel()], base, relax=eps)
-        # Phase 1 ignores the objective, so a failed first stage means no point.
-        if not stages[0].is_optimal:
-            raise EmptyMenu("menu does not intersect the profile simplex")
-        if not stages[-1].is_optimal:
-            raise NumericalFailure("tie-breaking solve failed")
-        total += game.alphas[i] * stages[-1].objective_value
-    return float(total)
 
 
 def _ellipsoid_cut(center: np.ndarray, P: np.ndarray, a: np.ndarray):
@@ -121,9 +102,10 @@ def optimize_general(
 
     center = np.full(d, 1.0 / mn)
     P = float(k) * np.eye(d)  # ball of radius sqrt(k) covers the whole domain
-    obj = np.zeros(d)
-    for i in range(k):
-        obj[i * mn : (i + 1) * mn] = game.alphas[i] * game.u_L.ravel()
+    obj = np.outer(game.alphas, game.u_L.ravel()).ravel()
+    # with u_L = 0 every valid assignment is optimal and the objective cut
+    # would be the zero vector, so the first passing centre ends the search
+    flat = not np.any(obj)
 
     uo_flat = np.array([game.u_O(i).ravel() for i in range(k)])
     net = TesterNet.build(game, delta)  # shared by every verdict below
@@ -170,6 +152,9 @@ def optimize_general(
                     if val > best_val:
                         best_val = val
                         best_vec = center.copy()
+                    if flat:
+                        converged = True
+                        break
                     cut, keep_ge = obj.copy(), True
                 else:
                     h, offset, margin = separator_for_thresholds(

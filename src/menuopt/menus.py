@@ -1,8 +1,11 @@
-"""Halfspace menus: regret polytopes, candidate menus, and membership tests.
+"""Halfspace menus: regret polytopes, candidate menus, membership tests,
+and a menu's learner value.
 
 A menu is a convex set of correlated strategy profiles, represented here
 as the intersection of the profile simplex with finitely many linear
-inequalities normal . phi <= rhs.  Emptiness is a legal state.
+inequalities normal . phi <= rhs.  Emptiness is a legal state.  Its value
+to the learner (`eval_menu_value`) is the prior-weighted learner payoff of
+each type's eps-relaxed pick from it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from . import lp
 from .core import BimatrixGame, Csp, CspAssignment, bilinear_value
-from .errors import InvalidInput
+from .errors import EmptyMenu, InvalidInput, NumericalFailure
 
 
 @dataclass(frozen=True)
@@ -150,6 +153,28 @@ def incentive_check(assign: CspAssignment, game: BimatrixGame, slack: float = 0.
     )
     own = np.diag(vals)
     return bool(np.all(own[:, None] >= vals - slack))
+
+
+def eval_menu_value(menu: HalfspaceMenu, game: BimatrixGame, eps: float) -> float:
+    """Learner value of a menu under eps-relaxed opponent best response.
+
+    Per type: the type's top utility over the menu, then the learner's
+    best profile among menu points within eps of that top.
+    """
+    mn = game.m * game.n
+    base = [lp.simplex_row(mn)]
+    for c in range(menu.n_constraints):
+        base.append((menu.normals[c], lp.LE, float(menu.rhs[c])))
+    total = 0.0
+    for i in range(game.k):
+        stages = lp.solve_lexicographic([game.u_O(i).ravel(), game.u_L.ravel()], base, relax=eps)
+        # Phase 1 ignores the objective, so a failed first stage means no point.
+        if not stages[0].is_optimal:
+            raise EmptyMenu("menu does not intersect the profile simplex")
+        if not stages[-1].is_optimal:
+            raise NumericalFailure("tie-breaking solve failed")
+        total += game.alphas[i] * stages[-1].objective_value
+    return float(total)
 
 
 def response_satisfiable_at(

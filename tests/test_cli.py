@@ -139,6 +139,18 @@ def test_oracle_maximin_on_an_all_zero_game(capsys, zero_path):
     assert doc["result"]["value"] == 0.0
 
 
+# u_L = 0 makes the objective cut the zero vector; the search must stop at
+# the first valid centre instead of cutting with it
+@pytest.mark.filterwarnings("error")
+def test_commit_general_on_an_all_zero_game(capsys, zero_path):
+    code, doc = run_json(capsys, "commit-general", "--game", zero_path)
+    assert code == 0
+    res = doc["result"]
+    assert res["value_lower_bound"] == 0.0
+    assert res["converged"] is True
+    assert res["menu_certified"] is True
+
+
 def test_check_menu_roundtrip(capsys, g1_path, tmp_path):
     assign = CspAssignment((Csp.point_mass(0, 1, 3, 2),))
     ap = tmp_path / "assign.json"

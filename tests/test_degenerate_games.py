@@ -15,14 +15,14 @@ import pytest
 from conftest import G1_NR_VALUE, G1_NR_WEIGHTS, G1_UL, G1_UO, random_game
 from menuopt import cli
 from menuopt.core import BimatrixGame
-from menuopt.general_commitment import eval_menu_value, optimize_general
+from menuopt.general_commitment import optimize_general
 from menuopt.maximin import (
     make_aborter_adversary,
     make_schedule_adversary,
     random_adversary,
     run_maximin,
 )
-from menuopt.menus import no_regret_menu
+from menuopt.menus import eval_menu_value, no_regret_menu
 from menuopt.nr_commitment import nsr_baseline_value, optimal_no_regret_commitment
 from menuopt.playback import optimizer_best_response_policy
 from menuopt.stackelberg import type_leader_values
@@ -261,6 +261,7 @@ GENERAL_GAMES = {
     "identical_types": lambda: BimatrixGame(U_L, ((U_A, 0.5), (U_A, 0.5))),
     "zero_prior_type": lambda: BimatrixGame(U_L, ((U_A, 1.0), (U_B, 0.0))),
     "duplicate_row": lambda: BimatrixGame(G1_UL[[0, 0, 1, 2]], ((G1_UO[[0, 0, 1, 2]], 1.0),)),
+    "zero_learner_payoffs": lambda: BimatrixGame(np.zeros((2, 2)), ((U_A, 0.5), (U_B, 0.5))),
 }
 
 

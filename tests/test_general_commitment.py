@@ -6,8 +6,8 @@ from menuopt import lp
 from menuopt.approachability import simplex_lattice, test_assignment_valid
 from menuopt.core import BimatrixGame, Csp, CspAssignment
 from menuopt.errors import EmptyMenu, InvalidInput, NumericalFailure
-from menuopt.general_commitment import eval_menu_value, optimize_general
-from menuopt.menus import HalfspaceMenu, incentive_check, no_regret_menu, no_swap_regret_menu
+from menuopt.general_commitment import optimize_general
+from menuopt.menus import HalfspaceMenu, eval_menu_value, incentive_check, no_regret_menu, no_swap_regret_menu
 from menuopt.nr_commitment import nsr_baseline_value, optimal_no_regret_commitment
 
 

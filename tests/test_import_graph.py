@@ -1,7 +1,8 @@
-"""The modules of the package import one another without a cycle.
+"""The modules of the package import one another without a cycle, and the
+exact solvers reach no approximate one.
 
 Every import statement counts, including one inside a function body, so a
-cycle cannot come back through a local import.
+cycle or a layering break cannot come back through a local import.
 """
 
 import ast
@@ -61,6 +62,33 @@ def find_cycle(edges: dict):
 def test_package_import_graph_is_acyclic():
     cycle = find_cycle(graph())
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+# the exact solvers: the no-regret program and everything it is built from
+EXACT_LAYER = {"core", "lp", "menus", "stackelberg", "nr_commitment"}
+APPROXIMATE = {"approachability", "general_commitment", "maximin", "playback", "bruteforce", "cli"}
+
+
+def reachable(edges: dict, start: str) -> set:
+    """Modules that `start` imports directly or through other modules."""
+    seen, todo = set(), [start]
+    while todo:
+        for nxt in edges[todo.pop()] - seen:
+            seen.add(nxt)
+            todo.append(nxt)
+    return seen
+
+
+def test_exact_layer_imports_no_approximate_module():
+    edges = graph()
+    assert EXACT_LAYER | APPROXIMATE <= MODULES
+    for name in sorted(EXACT_LAYER):
+        bad = reachable(edges, name) & APPROXIMATE
+        assert not bad, f"{name} imports {sorted(bad)}"
+
+
+def test_reachable_follows_imports_through_other_modules():
+    assert reachable({"a": {"b"}, "b": {"c"}, "c": set()}, "a") == {"b", "c"}
 
 
 def test_function_level_imports_are_edges(tmp_path):

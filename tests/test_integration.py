@@ -10,9 +10,9 @@ from menuopt import cli, lp
 from menuopt.approachability import test_assignment_valid
 from menuopt.bruteforce import grid_bruteforce_nr
 from menuopt.core import BimatrixGame, Csp, CspAssignment, bilinear_value
-from menuopt.general_commitment import eval_menu_value, optimize_general
+from menuopt.general_commitment import optimize_general
 from menuopt.maximin import make_aborter_adversary, run_maximin
-from menuopt.menus import incentive_check, no_regret_check, no_swap_regret_menu
+from menuopt.menus import eval_menu_value, incentive_check, no_regret_check, no_swap_regret_menu
 from menuopt.nr_commitment import nsr_baseline_value, optimal_no_regret_commitment
 from menuopt.playback import MenuScheduleLearner, optimizer_best_response_policy, simulate
 from menuopt.stackelberg import type_leader_values

@@ -79,22 +79,6 @@ def test_random_k2_games_dominate_grid_oracle():
         assert res.value >= oracle - 1e-6
 
 
-def test_worst_case_objective_lower_bounds_expected():
-    rng = np.random.default_rng(54)
-    for _ in range(10):
-        game = random_game(rng, 2, 2, 2)
-        expected = optimal_no_regret_commitment(game, objective="expected")
-        worst = optimal_no_regret_commitment(game, objective="worst_case")
-        # same feasible set, so the worst-case optimum cannot exceed the
-        # expected-value optimum, and its own assignment certifies it
-        assert worst.value <= expected.value + 1e-7
-        per_type = [
-            bilinear_value(game.u_L, worst.assignment[i]) for i in range(game.k)
-        ]
-        assert min(per_type) >= worst.value - 1e-7
-        assert incentive_check(worst.assignment, game, slack=1e-7)
-
-
 def test_deterministic_output(g1):
     a = optimal_no_regret_commitment(g1)
     b = optimal_no_regret_commitment(g1)

@@ -5,11 +5,12 @@ from conftest import CR, random_game
 from menuopt.approachability import test_assignment_valid
 from menuopt.core import Csp, bilinear_value
 from menuopt.errors import InvalidInput, InvalidTarget
-from menuopt.general_commitment import eval_menu_value, optimize_general
+from menuopt.general_commitment import optimize_general
 from menuopt.maximin import make_aborter_adversary, run_maximin, threshold_assignment
 from menuopt.menus import (
     HalfspaceMenu,
     candidate_menu,
+    eval_menu_value,
     menu_violation,
     no_regret_menu,
     no_swap_regret_menu,
