@@ -20,6 +20,10 @@ The net values do not depend on the thresholds c, so a `TesterNet`
 evaluates them once for a (game, delta) and every verdict that a solver
 asks of that game and delta reuses it.  A net lives only as long as the
 call that built it; nothing is cached across calls.
+
+A refutation becomes a cut by Blackwell's separation argument: the
+zero-sum game between type weights h and the learner under the refuting
+y.  At k <= 2 it has at most two rows and is solved in closed form.
 """
 
 from __future__ import annotations
@@ -211,8 +215,8 @@ def separator_for_thresholds(
 
     Solves the zero-sum game between a type-weight vector h on the
     k-simplex and a learner mix x with payoff
-    sum_i h_i (u_{O,i}(x, y*) - c_i).  A positive value (the margin)
-    certifies the cut
+    sum_i h_i (u_{O,i}(x, y*) - c_i) = h . G x.  A positive value (the
+    margin) certifies the cut
 
         sum_i h_i u_{O,i}(phi'_i) >= offset = sum_i h_i c_i,
 
@@ -220,15 +224,20 @@ def separator_for_thresholds(
     margin-sized slack while an assignment with thresholds c sits exactly
     on the boundary.
     Among optimal h the lexicographically largest (lowest index favored)
-    is returned for determinism.
+    is returned for determinism.  The margin is min_r G[0, r] at k = 1,
+    `lp.minmax_2_by_cols` at k = 2 and the simplex at k >= 3.
     """
     y = np.asarray(certificate_y, dtype=float)
     if y.shape != (game.n,):
         raise InvalidInput("certificate has wrong dimension")
     c = np.asarray(c, dtype=float)
     G = np.array([game.u_O(i) @ y - c[i] for i in range(game.k)])  # (k, m)
-    neg_value, h, _ = lp.zero_sum_value(-G)
-    margin = -neg_value
+    if game.k == 1:
+        margin = float(np.min(G))
+    elif game.k == 2:
+        margin = -lp.minmax_2_by_cols(-G)[0]
+    else:
+        margin = -lp.zero_sum_value(-G)[0]
     if margin <= 1e-9:
         raise CertificateInvalid(f"certificate has non-positive margin {margin}")
     h = _lexicographic_h(G, margin)
@@ -237,8 +246,28 @@ def separator_for_thresholds(
 
 
 def _lexicographic_h(G: np.ndarray, margin: float) -> np.ndarray:
-    """Lexicographically refine h over {h in simplex : G^T h >= margin}."""
+    """Lexicographically refine h over {h in simplex : G^T h >= margin - 1e-9}.
+
+    At k = 2 the rows cut h = (t, 1 - t) to t in [lo, hi], and the two
+    stages of `lp.solve_lexicographic` pick t = max(lo, hi - TIE_SLACK).
+    """
     k, m = G.shape
+    if k == 1:
+        return np.ones(1)
+    if k == 2:
+        lo, hi = 0.0, 1.0
+        for top, bottom in zip(*G.tolist()):
+            slope, need = top - bottom, margin - 1e-9 - bottom  # slope * t >= need
+            if slope > 0:
+                lo = max(lo, need / slope)
+            elif slope < 0:
+                hi = min(hi, need / slope)
+            elif need > 0:
+                lo = np.inf  # a level column below the margin
+        if lo > hi:
+            raise CertificateInvalid("lexicographic refinement lost feasibility")
+        t = max(lo, hi - lp.TIE_SLACK)
+        return np.array([t, 1.0 - t])
     cons = [lp.simplex_row(k)]
     for col in range(m):
         cons.append((G[:, col], lp.GE, margin - 1e-9))

@@ -10,6 +10,7 @@ are documented in docs/formats.md.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -227,23 +228,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn):
+    def add(name):
         p = sub.add_parser(name, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.add_argument("--game", required=True, help="path to a game JSON document")
-        p.set_defaults(func=fn)
+        # a name, looked up when the command runs: the parser outlives rebinding
+        p.set_defaults(func="cmd_" + name.replace("-", "_"))
         return p
 
-    p = add("stackelberg", cmd_stackelberg)
+    p = add("stackelberg")
     p.add_argument("--type", type=int, default=None, help="opponent type index (default: all)")
 
-    add("commit-nr", cmd_commit_nr)
+    add("commit-nr")
 
-    p = add("commit-general", cmd_commit_general)
+    p = add("commit-general")
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--delta", type=float, default=None, help="default eps/(8*sqrt(mn))")
     p.add_argument("--max-iters", type=int, default=None, dest="max_iters")
 
-    p = add("maximin", cmd_maximin)
+    p = add("maximin")
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--T", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
@@ -254,11 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="bestresponse is an alias of schedule",
     )
 
-    p = add("check-menu", cmd_check_menu)
+    p = add("check-menu")
     p.add_argument("--assignment", required=True, help="path to an assignment JSON document")
     p.add_argument("--delta", type=float, default=0.05)
 
-    p = add("simulate", cmd_simulate)
+    p = add("simulate")
     p.add_argument("--learner", default="commit-nr", choices=["commit-nr", "commit-general"])
     p.add_argument("--type", type=int, default=0)
     p.add_argument("--T", type=int, default=10_000)
@@ -269,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--stream", action="store_true", help="emit per-round JSON lines")
 
-    p = add("oracle", cmd_oracle)
+    p = add("oracle")
     p.add_argument("oracle", choices=["nr", "validity", "maximin"])
     p.add_argument("--resolution", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=None)
@@ -278,15 +280,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: `parse_args` leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else 0
     try:
         game, raw = _load_game(args.game)
-        result = args.func(game, args)
+        result = globals()[args.func](game, args)
     except (InvalidInput, GridTooLarge) as exc:
         print(json.dumps({"error": {"kind": "validation", "message": str(exc)}}, sort_keys=True))
         return EXIT_VALIDATION

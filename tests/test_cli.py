@@ -254,3 +254,48 @@ def test_digest_changes_with_args(capsys, g1_path):
     _, d1 = run_json(capsys, "oracle", "nr", "--game", g1_path, "--resolution", "0.25")
     _, d2 = run_json(capsys, "oracle", "nr", "--game", g1_path, "--resolution", "0.5")
     assert d1["inputs_digest"] != d2["inputs_digest"]
+
+
+# every flag of each command, then the same command with only what it requires
+PARSER_CASES = {
+    "stackelberg": ([], ["--type", "0"]),
+    "commit-nr": ([], []),
+    "commit-general": ([], ["--eps", "0.1", "--delta", "0.02", "--max-iters", "60"]),
+    "maximin": ([], ["--eps", "0.1", "--T", "300", "--seed", "3", "--adversary", "aborter"]),
+    "check-menu": (["--assignment", "ASSIGN"], ["--delta", "0.1"]),
+    "simulate": (
+        [],
+        ["--learner", "commit-general", "--type", "0", "--T", "40", "--seed", "2",
+         "--eps", "0.1", "--delta", "0.02", "--stream"],
+    ),
+    "oracle": (["nr"], ["--resolution", "0.5", "--delta", "0.05", "--assignment", "ASSIGN"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARSER_CASES))
+def test_kept_parser_matches_a_fresh_one(capsys, monkeypatch, g1_path, tmp_path, command):
+    ap = tmp_path / "assign.json"
+    ap.write_text(CspAssignment((Csp.point_mass(0, 0, 3, 2),)).to_json())
+    required, flags = (
+        [str(ap) if a == "ASSIGN" else a for a in argv] for argv in PARSER_CASES[command]
+    )
+    full = [command, "--game", g1_path, *required, *flags]
+    default = [command, "--game", g1_path, *required]
+    kept = [run_cli(capsys, *full), run_cli(capsys, *default)]
+    assert cli._parser() is cli._parser()
+    assert cli._parser().parse_args(default) == cli.build_parser().parse_args(default)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser on every run
+    fresh = [run_cli(capsys, *full), run_cli(capsys, *default)]
+    assert kept == fresh
+    for code, out in kept:
+        assert code == 0
+        assert json.loads(out.strip().splitlines()[-1])["inputs_digest"]
+
+
+def test_kept_parser_calls_the_current_handler(capsys, monkeypatch, g1_path):
+    args = cli._parser().parse_args(["commit-nr", "--game", g1_path])
+    assert args.func == "cmd_commit_nr"
+    monkeypatch.setattr(cli, "cmd_stackelberg", lambda game, args: {"rebound": True})
+    code, doc = run_json(capsys, "stackelberg", "--game", g1_path)
+    assert code == 0
+    assert doc["result"] == {"rebound": True}

@@ -15,6 +15,12 @@ fixed game shared by several seeds runs once. Each output line is
 with input paths relative to the temporary directory (and the g1 fixture
 relative to the checkout), so that `diff` of two checkouts' outputs shows
 every command whose stdout or exit code changed.
+
+With `--stdout-dir DIR` the stdout of the command on output line N is
+also written to `DIR/N.json`, so a command whose digest changed can be
+compared value by value:
+
+    python3 tools/manifest_stdout.py general 1 2 3 --stdout-dir out/new
 """
 
 from __future__ import annotations
@@ -61,14 +67,20 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
     parser.add_argument("seeds", type=int, nargs="+")
+    parser.add_argument("--stdout-dir", type=Path, help="also write each command's stdout to DIR/<line>.json")
     args = parser.parse_args()
+    if args.stdout_dir is not None:
+        args.stdout_dir = args.stdout_dir.resolve()  # before the chdir below
+        args.stdout_dir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative input paths keep check-menu's inputs_digest the same in every checkout
-        for argv in distinct_commands(args.workload, args.seeds):
+        for line, argv in enumerate(distinct_commands(args.workload, args.seeds), start=1):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = cli.run(argv)
             digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+            if args.stdout_dir is not None:
+                (args.stdout_dir / f"{line}.json").write_text(buf.getvalue())
             shown = [os.path.relpath(a, ROOT) if a == str(workloads.G1) else a for a in argv]
             print(code, digest, " ".join(shown), flush=True)
 
