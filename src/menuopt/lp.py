@@ -2,9 +2,13 @@
 
 Two-phase primal simplex on a dense numpy tableau with Bland's pivoting
 rule throughout, so every solve is deterministic: identical programs give
-identical bases, points, and duals.  Every optimal solve is certified
-against its recovered dual before it is returned; a solve that cannot be
-certified raises instead of returning a wrong status.
+identical bases, points, and duals.  One private `_Tableau` holds a
+program in standard form: phase 1 finds a basic feasible point, phase 2
+maximizes an objective from the current basis, and `add_ge_row` appends a
+row that the current point meets, so a later objective starts from the
+last optimum (a warm start) instead of from scratch.  Every optimal solve
+is certified against its recovered dual before it is returned; a solve
+that cannot be certified raises instead of returning a wrong status.
 
 Orientation conventions: `LinearProgram.objective` is always maximized,
 variables are x >= 0 unless `bounds` says otherwise (scipy's `linprog`
@@ -14,9 +18,9 @@ Two helpers give every solver module the same vocabulary.
 `simplex_row` builds the row sum(x[lo:hi]) = 1; with the default domain
 it makes x[lo:hi] a probability vector.  `solve_lexicographic` maximizes
 a list of objectives in turn, each over the optimal face of the ones
-before; it implements the package's tie rule once: an opponent type takes
-its favourite point, and among points within relax + TIE_SLACK of that
-favourite the learner's best one is chosen.
+before, on one tableau; it implements the package's tie rule once: an
+opponent type takes its favourite point, and among points within
+relax + TIE_SLACK of that favourite the learner's best one is chosen.
 
 `zero_sum_values` values a stack of small zero-sum games without a
 simplex per game.  An optimal mix of each player is a vertex fixed by a
@@ -141,128 +145,209 @@ def _materialize_rows(lp: LinearProgram):
     return c, A, rels, b, free
 
 
-def _bland_entering(red: np.ndarray, allowed: np.ndarray) -> int:
-    cand = np.nonzero(allowed & (red > _PIVOT_TOL))[0]
-    return int(cand[0]) if cand.size else -1
+def _bland_entering(red: np.ndarray) -> int:
+    """First column whose reduced cost exceeds `_PIVOT_TOL`, or -1."""
+    mask = red > _PIVOT_TOL
+    col = int(mask.argmax())
+    return col if mask[col] else -1
 
 
-def _bland_leaving(T: np.ndarray, col: int, basis: np.ndarray) -> int:
-    ratios = []
-    for i in range(T.shape[0] - 1):
-        a = T[i, col]
+def _bland_leaving(T: np.ndarray, col: int, basis: List[int]) -> int:
+    """Row of least ratio rhs / a over entries a > `_PIVOT_TOL`, or -1.
+
+    A tie goes to the row whose basic column is smallest. Runs on Python
+    floats, one `tolist()` per column, which beats numpy scalars at these
+    sizes and divides the same way.
+    """
+    rhs = T[:-1, -1].tolist()
+    best, best_ratio = -1, float("inf")
+    for i, a in enumerate(T[:-1, col].tolist()):
         if a > _PIVOT_TOL:
-            ratios.append((T[i, -1] / a, basis[i], i))
-    if not ratios:
-        return -1
-    ratios.sort(key=lambda t: (t[0], t[1]))
-    return ratios[0][2]
+            ratio = rhs[i] / a
+            if ratio < best_ratio or (ratio == best_ratio and (best < 0 or basis[i] < basis[best])):
+                best, best_ratio = i, ratio
+    return best
 
 
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
+def _pivot(T: np.ndarray, row: int, col: int, scratch: np.ndarray) -> None:
+    """Pivot T on (row, col); `scratch`, of T's shape, takes the rank-one update."""
     T[row] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    np.multiply.outer(factors, T[row], out=scratch)
+    T -= scratch
     T[:, col] = 0.0
     T[row, col] = 1.0
 
 
-def _run_simplex(T, basis, cost, allowed, max_iters):
-    """Drive `cost` (maximize) to optimality on tableau T. Returns status."""
-    nrows = T.shape[0] - 1
-    # Price out: objective row = cost - cost_B . rows, rhs column carries -z.
-    T[-1, :] = 0.0
-    T[-1, : cost.size] = cost
-    for i in range(nrows):
-        cb = cost[basis[i]]
-        if cb != 0.0:
-            T[-1] -= cb * T[i]
-    for _ in range(max_iters):
-        col = _bland_entering(T[-1, :-1], allowed)
-        if col < 0:
-            return OPTIMAL
-        row = _bland_leaving(T, col, basis)
-        if row < 0:
-            return UNBOUNDED
-        _pivot(T, row, col)
-        basis[row] = col
-    raise NumericalFailure("simplex iteration cap exceeded")
+class _Tableau:
+    """One program in standard form on a dense tableau that outlives a solve.
+
+    Columns: one per variable, a column -A[:, j] for the w of each free
+    x_j = u - w, a slack per inequality in row order (+1 on <= rows, -1 on
+    >= rows), a surplus per row that `add_ge_row` appends, then the right
+    side. Rows are signed so that b >= 0 and the last row carries the
+    reduced costs and -z. `A`, `row_sign` and `keep` are the standard-form
+    rows that dual recovery reads; `A0`, `rels` and `b0` are the rows as
+    given, which `_certify` checks.
+    """
+
+    def __init__(self, A0: np.ndarray, rels: List[str], b0: np.ndarray, free: np.ndarray):
+        nrows, d = A0.shape
+        n_free = int(free.sum())
+        ineq = [i for i, rel in enumerate(rels) if rel != EQ]
+        ncols = d + n_free + len(ineq)
+        A = np.zeros((nrows, ncols))
+        A[:, :d] = A0
+        A[:, d : d + n_free] = -A0[:, free]
+        A[ineq, d + n_free + np.arange(len(ineq))] = [1.0 if rels[i] == LE else -1.0 for i in ineq]
+        neg = b0 < 0
+        A[neg] *= -1.0
+        self.A0, self.rels, self.b0, self.free, self.n_free = A0, list(rels), b0, free, n_free
+        self.A, self.row_sign = A, np.where(neg, -1.0, 1.0)
+        self.keep = np.ones(nrows, dtype=bool)
+        self.max_iters = 20000 + 200 * (nrows + ncols)
+        # Phase 1 starts from an artificial basis on every row.
+        T = np.zeros((nrows + 1, ncols + nrows + 1))
+        T[:-1, :ncols] = A
+        T[:-1, ncols:-1] = np.eye(nrows)
+        T[:-1, -1] = np.where(neg, -b0, b0)
+        self.T, self.basis, self.scratch = T, list(range(ncols, ncols + nrows)), np.empty_like(T)
+
+    def _std(self, c: np.ndarray) -> np.ndarray:
+        """c on the standard-form columns: -c on each w, 0 on slacks and surpluses."""
+        d = c.size
+        out = np.zeros(self.A.shape[1])
+        out[:d] = c
+        out[d : d + self.n_free] = -c[self.free]
+        return out
+
+    def _run(self, cost: np.ndarray) -> str:
+        """Drive `cost` (maximize) to optimality from the current basis."""
+        T, basis, scratch = self.T, self.basis, self.scratch
+        # Price out: objective row = cost - cost_B . rows, rhs column carries -z.
+        T[-1, :] = 0.0
+        T[-1, : cost.size] = cost
+        for i in range(T.shape[0] - 1):
+            cb = cost[basis[i]]
+            if cb != 0.0:
+                T[-1] -= cb * T[i]
+        for _ in range(self.max_iters):
+            col = _bland_entering(T[-1, :-1])
+            if col < 0:
+                return OPTIMAL
+            row = _bland_leaving(T, col, basis)
+            if row < 0:
+                return UNBOUNDED
+            _pivot(T, row, col, scratch)
+            basis[row] = col
+        raise NumericalFailure("simplex iteration cap exceeded")
+
+    def phase1(self) -> bool:
+        """Reach a basic feasible point, or return False: the program is infeasible.
+
+        Minimizes the artificial mass, drops the artificial columns, pivots
+        the artificials still basic out and drops the rows where none can
+        pivot, which are redundant.
+        """
+        ncols = self.A.shape[1]
+        cost = np.zeros(self.T.shape[1] - 1)
+        cost[ncols:] = -1.0
+        self._run(cost)
+        # The corner carries -z, the residual artificial mass. Phase 1 is bounded,
+        # so an "unbounded" exit is round-off and only the residual decides.
+        if self.T[-1, -1] > _FEAS_TOL * _scale(self.b0):
+            return False
+        # No artificial column enters again, and a pivot on another column never
+        # reads one. So the right side moves next to the real columns, and views
+        # that leave the artificials out carry on; every other entry is as it was.
+        self.T[:, ncols] = self.T[:, -1]
+        self.T, self.scratch = self.T[:, : ncols + 1], self.scratch[:, : ncols + 1]
+        T, basis = self.T, self.basis
+        for i in range(len(basis)):
+            if basis[i] >= ncols:
+                piv_cols = np.nonzero(np.abs(T[i, :ncols]) > _PIVOT_TOL)[0]
+                if piv_cols.size:
+                    _pivot(T, i, int(piv_cols[0]), self.scratch)
+                    basis[i] = int(piv_cols[0])
+                else:
+                    self.keep[i] = False
+        if not np.all(self.keep):
+            self.T = T[np.append(self.keep, True)]
+            self.scratch = np.empty_like(self.T)
+            self.basis = [j for j, kept in zip(basis, self.keep) if kept]
+        return True
+
+    def maximize(self, c: np.ndarray) -> LpSolution:
+        """Phase 2 on objective c from the current basis, certified when optimal."""
+        c_std = self._std(c)
+        if self._run(c_std) == UNBOUNDED:
+            return LpSolution(UNBOUNDED, None, float("inf"))
+        basis = np.array(self.basis)
+        z = np.zeros(c_std.size)
+        z[basis] = self.T[:-1, -1]
+        d = c.size
+        x = z[:d]
+        x[self.free] -= z[d : d + self.n_free]
+        value = float(c @ x)
+        # Duals from the final basis: solve B^T y = c_B on the kept rows.
+        rows = np.nonzero(self.keep)[0]
+        try:
+            y_kept = np.linalg.solve(self.A[rows][:, basis].T, c_std[basis])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure("singular basis during dual recovery") from exc
+        dual = np.zeros(self.keep.size)
+        dual[rows] = y_kept
+        dual *= self.row_sign
+        _certify(x, value, dual, self.A0, self.rels, self.b0, c, self.free)
+        return LpSolution(OPTIMAL, x, value, dual)
+
+    def add_ge_row(self, row: np.ndarray, rhs: float) -> None:
+        """Append row . x >= rhs, which the current point must meet, surplus basic.
+
+        The row is written in the current basis: its surplus s is basic at
+        row . x* - rhs, so the tableau stays primal feasible and phase 2 can
+        go on from it. Round-off can leave that right side just below 0
+        when the slack is small beside the values (TIE_SLACK beside values
+        near 1e8); it is then set to 0, which loosens the tableau's copy of
+        the row by that round-off, and `_certify` checks the row as given.
+        """
+        T, basis = self.T, self.basis
+        nrows, ncols = T.shape[0] - 1, T.shape[1] - 1
+        self.scratch = None  # freed before the grown tableau is allocated
+        std = self._std(row)
+        coef = std[basis]
+        new = np.zeros(ncols + 2)
+        new[:ncols] = coef @ T[:-1, :-1] - std
+        new[basis] = 0.0
+        new[ncols] = 1.0
+        new[-1] = max(0.0, float(coef @ T[:-1, -1]) - rhs)
+        grown = np.zeros((nrows + 2, ncols + 2))
+        grown[:nrows, :ncols] = T[:-1, :-1]
+        grown[:nrows, -1] = T[:-1, -1]
+        grown[nrows] = new
+        self.T, self.scratch = grown, np.empty_like(grown)
+        basis.append(ncols)
+        A = np.zeros((self.A.shape[0] + 1, ncols + 1))
+        A[:-1, :-1] = self.A
+        A[-1, :-1] = std
+        A[-1, -1] = -1.0
+        self.A = A
+        self.row_sign = np.append(self.row_sign, 1.0)
+        self.keep = np.append(self.keep, True)
+        self.A0 = np.vstack([self.A0, row])
+        self.rels.append(GE)
+        self.b0 = np.append(self.b0, rhs)
+        self.max_iters += 400  # one more row and column
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Two-phase simplex solve of `lp`, with dual certification when optimal."""
     c, A0, rels, b0, free = _materialize_rows(lp)
-    d = c.size
-    nrows = A0.shape[0]
-
-    # Standard form: one column per variable, then a column -A[:, j] for the
-    # w of each free x_j = u - w, then a slack column per inequality in row
-    # order (+1 on <= rows, -1 on >= rows); rows are signed so that b >= 0.
-    n_free = int(free.sum())
-    ineq = [i for i, rel in enumerate(rels) if rel != EQ]
-    n_slack = len(ineq)
-    ncols = d + n_free + n_slack
-    A = np.zeros((nrows, ncols))
-    A[:, :d] = A0
-    A[:, d : d + n_free] = -A0[:, free]
-    A[ineq, d + n_free + np.arange(n_slack)] = [1.0 if rels[i] == LE else -1.0 for i in ineq]
-    neg = b0 < 0
-    A[neg] *= -1.0
-    b = np.where(neg, -b0, b0)
-    row_sign = np.where(neg, -1.0, 1.0)
-    c_std = np.concatenate([c, -c[free], np.zeros(n_slack)])
-
-    max_iters = 20000 + 200 * (nrows + ncols)
-
-    # Phase 1: artificial basis on every row, minimize total artificial mass.
-    total = ncols + nrows
-    T = np.zeros((nrows + 1, total + 1))
-    T[:-1, :ncols] = A
-    T[:-1, ncols : ncols + nrows] = np.eye(nrows)
-    T[:-1, -1] = b
-    basis = np.arange(ncols, ncols + nrows)
-    phase1_cost = np.zeros(total)
-    phase1_cost[ncols:] = -1.0
-    allowed = np.ones(total, dtype=bool)
-    _run_simplex(T, basis, phase1_cost, allowed, max_iters)
-    # The corner carries -z, the residual artificial mass. Phase 1 is bounded,
-    # so an "unbounded" exit is round-off and only the residual decides.
-    if T[-1, -1] > _FEAS_TOL * _scale(b):
+    tableau = _Tableau(A0, rels, b0, free)
+    if not tableau.phase1():
         return LpSolution(INFEASIBLE, None, float("nan"))
-
-    # Pivot artificials out of the basis; rows that cannot pivot are redundant.
-    keep_rows = np.ones(nrows, dtype=bool)
-    for i in range(nrows):
-        if basis[i] >= ncols:
-            piv_cols = np.nonzero(np.abs(T[i, :ncols]) > _PIVOT_TOL)[0]
-            if piv_cols.size:
-                _pivot(T, i, int(piv_cols[0]))
-                basis[i] = int(piv_cols[0])
-            else:
-                keep_rows[i] = False
-    if not np.all(keep_rows):
-        sel = np.concatenate([keep_rows, [True]])
-        T = T[sel]
-        basis = basis[keep_rows]
-
-    # Phase 2 on the real objective; artificial columns stay locked out.
-    allowed = np.zeros(total, dtype=bool)
-    allowed[:ncols] = True
-    phase2_cost = np.zeros(total)
-    phase2_cost[:ncols] = c_std
-    status = _run_simplex(T, basis, phase2_cost, allowed, max_iters)
-    if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, float("inf"))
-
-    z = np.zeros(total)
-    z[basis] = T[:-1, -1]
-    x = z[:d]
-    x[free] -= z[d : d + n_free]
-    value = float(c @ x)
-
-    dual = _recover_dual(A, keep_rows, basis, c_std, row_sign)
-    _certify(x, value, dual, A0, rels, b0, c, free)
-    return LpSolution(OPTIMAL, x, value, dual)
+    return tableau.maximize(c)
 
 
 def solve_lexicographic(
@@ -270,35 +355,32 @@ def solve_lexicographic(
 ) -> List[LpSolution]:
     """Maximize each objective in turn over the optimal face of the ones before.
 
-    After an optimal stage the row obj . x >= value - relax - TIE_SLACK is
-    appended to the constraints of the next stage.  Returns the solutions
-    of the stages run: the list ends after the first stage that is not
-    optimal, so the last entry is optimal exactly when every stage was.
+    Stage 1 is `solve_lp` on the constraints. After an optimal stage the
+    row obj . x >= value - relax - TIE_SLACK joins the tableau, met by the
+    stage's optimum with its surplus basic, and the next stage runs phase 2
+    from that basis; it is certified against the constraints and every
+    face row so far. Returns the solutions of the stages run: the list ends
+    after the first stage that is not optimal, so the last entry is optimal
+    exactly when every stage was.
     """
-    cons = list(constraints)
-    stages = []
-    for obj in objectives:
-        sol = solve_lp(LinearProgram(obj, cons))
-        stages.append(sol)
-        if not sol.is_optimal:
+    if not (np.isfinite(relax) and relax >= 0.0):
+        raise InvalidInput("relax must be finite and >= 0")
+    objectives = [np.asarray(obj, dtype=float) for obj in objectives]
+    if not objectives:
+        return []
+    c, A0, rels, b0, free = _materialize_rows(LinearProgram(objectives[0], constraints))
+    if any(obj.shape != c.shape or not np.all(np.isfinite(obj)) for obj in objectives):
+        raise InvalidInput("objectives must be finite vectors of one length")
+    tableau = _Tableau(A0, rels, b0, free)
+    if not tableau.phase1():
+        return [LpSolution(INFEASIBLE, None, float("nan"))]
+    stages = [tableau.maximize(c)]
+    for prev, obj in zip(objectives, objectives[1:]):
+        if not stages[-1].is_optimal:
             break
-        cons.append((obj, GE, sol.objective_value - relax - TIE_SLACK))
+        tableau.add_ge_row(prev, stages[-1].objective_value - relax - TIE_SLACK)
+        stages.append(tableau.maximize(obj))
     return stages
-
-
-def _recover_dual(A, keep_rows, basis, c_std, row_sign):
-    """Duals from the final basis: solve B^T y = c_B on the kept rows."""
-    kept_idx = np.nonzero(keep_rows)[0]
-    Ak = A[kept_idx]
-    B = Ak[:, basis]
-    cb = c_std[basis]
-    try:
-        y_kept = np.linalg.solve(B.T, cb)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("singular basis during dual recovery") from exc
-    y = np.zeros(keep_rows.size)
-    y[kept_idx] = y_kept
-    return y * row_sign
 
 
 def _certify(x, value, dual, A0, rels, b0, c, free):

@@ -381,6 +381,16 @@ def test_lexicographic_stops_at_the_first_stage_that_is_not_optimal():
     assert [s.status for s in open_top] == [lp.OPTIMAL, lp.UNBOUNDED]
 
 
+def test_lexicographic_rejects_negative_relax_and_mismatched_objectives():
+    # a face row below the stage's own optimum would not hold at the basis it starts from
+    with pytest.raises(InvalidInput, match="relax"):
+        lp.solve_lexicographic(list(np.eye(2)), [lp.simplex_row(2)], -1e-3)
+    with pytest.raises(InvalidInput, match="objectives"):
+        lp.solve_lexicographic([np.ones(2), np.ones(3)], [lp.simplex_row(2)])
+    with pytest.raises(InvalidInput, match="objectives"):
+        lp.solve_lexicographic([np.ones(2), np.array([1.0, np.nan])], [lp.simplex_row(2)])
+
+
 def test_lexicographic_matches_scipy_two_stage_solve():
     scipy_opt = pytest.importorskip("scipy.optimize")
 

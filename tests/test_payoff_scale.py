@@ -9,7 +9,9 @@ constraint matrix and never drops below 1, and optimize_general's
 relaxation uses max(1, p_max) the same way. Each such case is marked
 `xfail(strict=True)`; the change that mends it removes its marker. The
 tester-net cases pass: `lp.zero_sum_values` values their nets without
-the simplex.
+the simplex. The no-regret cases 232 at 1e6 and 333 at 1e-6 pass since
+`lp.solve_lexicographic` runs the tie-break stage from the value stage's
+optimum; solved from scratch, that stage hit a singular basis.
 
 G(m, n, k) is `random_game(default_rng([7000, m, n, k]), m, n, k)`.
 """
@@ -56,8 +58,8 @@ def test_optimize_general_at_scale(g1, game, s):
     "shape,s",
     [
         pytest.param((3, 2, 2), 1e-6, id="322-1e-6", marks=fails("commitment program ended infeasible")),
-        pytest.param((2, 3, 2), 1e6, id="232-1e6", marks=fails("singular basis during dual recovery")),
-        pytest.param((3, 3, 3), 1e-6, id="333-1e-6", marks=fails("singular basis during dual recovery")),
+        pytest.param((2, 3, 2), 1e6, id="232-1e6"),
+        pytest.param((3, 3, 3), 1e-6, id="333-1e-6"),
         pytest.param((3, 3, 3), 1e6, id="333-1e6", marks=fails("singular basis during dual recovery")),
     ],
 )

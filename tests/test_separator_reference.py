@@ -157,13 +157,13 @@ def test_an_empty_interval_is_refused(G, margin):
         _lexicographic_h(np.array(G), margin)
 
 
-@pytest.mark.parametrize("k, simplex_solves", [(1, 0), (2, 0), (3, 4)])
-def test_only_k3_reaches_the_simplex(monkeypatch, k, simplex_solves):
+@pytest.mark.parametrize("k, simplex_stages", [(1, 0), (2, 0), (3, 1 + 3)])
+def test_only_k3_reaches_the_simplex(monkeypatch, k, simplex_stages):
     types = [[0.9, 0.2, 0.5], [0.1, 0.8, 0.6], [0.4, 0.4, 0.7]][:k]
     game = column_game(*types)
     calls = []
-    solve_lp = lp.solve_lp
-    monkeypatch.setattr(lp, "solve_lp", lambda prog: calls.append(prog) or solve_lp(prog))
+    maximize = lp._Tableau.maximize
+    monkeypatch.setattr(lp._Tableau, "maximize", lambda tab, c: calls.append(c) or maximize(tab, c))
     h, _, margin = approachability.separator_for_thresholds(game, np.zeros(k), np.ones(1))
-    assert len(calls) == simplex_solves  # zero_sum_value, then one stage per type
+    assert len(calls) == simplex_stages  # zero_sum_value, then one stage per type
     assert margin > 0 and h.sum() == pytest.approx(1.0)

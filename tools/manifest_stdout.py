@@ -17,8 +17,8 @@ relative to the checkout), so that `diff` of two checkouts' outputs shows
 every command whose stdout or exit code changed.
 
 With `--stdout-dir DIR` the stdout of the command on output line N is
-also written to `DIR/N.json`, so a command whose digest changed can be
-compared value by value:
+also written to `DIR/N.json`, and the output lines to `DIR/manifest.txt`,
+so that `tools/manifest_diff.py` can compare two checkouts value by value:
 
     python3 tools/manifest_stdout.py general 1 2 3 --stdout-dir out/new
 """
@@ -72,6 +72,7 @@ def main() -> None:
     if args.stdout_dir is not None:
         args.stdout_dir = args.stdout_dir.resolve()  # before the chdir below
         args.stdout_dir.mkdir(parents=True, exist_ok=True)
+    listing = []
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative input paths keep check-menu's inputs_digest the same in every checkout
         for line, argv in enumerate(distinct_commands(args.workload, args.seeds), start=1):
@@ -82,7 +83,10 @@ def main() -> None:
             if args.stdout_dir is not None:
                 (args.stdout_dir / f"{line}.json").write_text(buf.getvalue())
             shown = [os.path.relpath(a, ROOT) if a == str(workloads.G1) else a for a in argv]
-            print(code, digest, " ".join(shown), flush=True)
+            listing.append(f"{code} {digest} {' '.join(shown)}")
+            print(listing[-1], flush=True)
+    if args.stdout_dir is not None:
+        (args.stdout_dir / "manifest.txt").write_text("".join(line + "\n" for line in listing))
 
 
 if __name__ == "__main__":
