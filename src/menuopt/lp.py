@@ -61,6 +61,7 @@ TIE_SLACK = 1e-9  # slack of the optimal-face row between lexicographic stages
 # and the simplex 26.2 ms (median of 9; 2-vCPU guest, BLAS at one thread).
 _KERNEL_CAP = 100
 _CERTIFY_TOL = 1e-9  # largest gap between the two players' bounds, per max(1, |M|)
+_FLOAT = np.dtype(float)  # the one native float64 dtype: `is` tells a float array apart
 
 Row = Tuple[np.ndarray, str, float]  # one constraint: row . x (rel) rhs
 
@@ -578,14 +579,15 @@ def minmax_rows_by_2(M: np.ndarray) -> Tuple[float, np.ndarray]:
     Python floats, since at the forcing round's sizes numpy's per-call
     cost would exceed the arithmetic.
     """
-    M = np.asarray(M, dtype=float)
+    if type(M) is not np.ndarray or M.dtype is not _FLOAT:
+        M = np.asarray(M, dtype=float)
     m, q = M.shape
     if q != 2:
         raise InvalidInput("expected a two-column matrix")
     rows = M.tolist()
     row_vals = [b if b >= a else a for a, b in rows]  # np.max's choice between equal zeros
     best = min(row_vals)
-    support = {row_vals.index(best): 1.0}
+    pure, pair = row_vals.index(best), None
     g = [a - b for a, b in rows]
     for i in range(m):
         for j in range(i + 1, m):
@@ -597,11 +599,14 @@ def minmax_rows_by_2(M: np.ndarray) -> Tuple[float, np.ndarray]:
                 continue
             cross = t * rows[i][0] + (1.0 - t) * rows[j][0]
             if cross < best - 1e-15:
-                best = cross
-                support = {i: t, j: 1.0 - t}
-    x = np.zeros(m)
-    x[list(support)] = list(support.values())
-    return best, x
+                best, pair = cross, (i, j, t)
+    x = [0.0] * m
+    if pair is None:
+        x[pure] = 1.0
+    else:
+        i, j, t = pair
+        x[i], x[j] = t, 1.0 - t
+    return best, np.array(x)
 
 
 def minmax_2_by_cols(M: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -614,7 +619,8 @@ def minmax_2_by_cols(M: np.ndarray) -> Tuple[float, np.ndarray]:
     more than 1e-15, and a column pair whose slopes M[0,j] - M[1,j] are
     within 1e-14 has no crossing. Runs on Python floats, as its companion.
     """
-    M = np.asarray(M, dtype=float)
+    if type(M) is not np.ndarray or M.dtype is not _FLOAT:
+        M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != 2 or M.shape[1] == 0:
         raise InvalidInput("expected a nonempty two-row matrix")
     rows = M.tolist()

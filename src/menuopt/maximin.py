@@ -9,9 +9,10 @@ the epoch loop then lowers V and restarts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .menus import candidate_menu
 # a forceable level, so act() allows twice that before it aborts
 _SLACK = 2 * lp.TIE_SLACK
 _SCHEDULE_WRAP = 100_000  # rounds after which the schedule adversary starts over
+_FLOAT = np.dtype(float)
+_DRAW_BLOCK = 4096  # Dirichlet mixes the random adversary draws at once
 
 
 def hedge_weights(cumulative: np.ndarray, t: int, p_max: float) -> np.ndarray:
@@ -34,11 +37,17 @@ def hedge_weights(cumulative: np.ndarray, t: int, p_max: float) -> np.ndarray:
     k = cumulative.size
     if k == 1 or t == 0 or p_max == 0:
         return np.full(k, 1.0 / k)
-    eta = np.sqrt(np.log(k) / t) / (2.0 * p_max)
-    z = eta * cumulative
-    z -= z.max()
-    w = np.exp(z)
-    return w / w.sum()
+    return _hedge(cumulative, t, float(np.log(k)), 2.0 * p_max)
+
+
+def _hedge(cumulative: np.ndarray, t: int, log_k: float, two_p_max: float) -> np.ndarray:
+    # hedge_weights past its uniform cases, given ln k and 2 p_max; math.sqrt
+    # rounds correctly as np.sqrt does, and in-place ufuncs give the same bits
+    w = np.multiply(cumulative, math.sqrt(log_k / t) / two_p_max)
+    w -= np.maximum.reduce(w)
+    np.exp(w, out=w)
+    w /= np.add.reduce(w)
+    return w
 
 
 class ForcingState:
@@ -52,12 +61,22 @@ class ForcingState:
     act() solves the weighted game in closed form when it has two columns
     (`lp.minmax_rows_by_2`) or two rows (`lp.minmax_2_by_cols`), and by the
     simplex (`lp.zero_sum_value`) otherwise; certificate() always takes the
-    simplex, since it needs the dual mix y.
+    simplex, since it needs the dual mix y. The solver is looked up on `lp`
+    when the state is built.
 
     act() solves again only when the bytes of p differ from those of its
     last solve, and otherwise returns the kept answer; with k = 1, p never
     moves, so one solve serves the whole epoch. The x it returns is
     read-only, because the same array may serve many rounds.
+
+    While act() keeps its x, observe(x, y) stores the reward of each float64
+    y by y's bytes and returns the stored array when the same bytes come
+    again: equal inputs give the same einsum bits. The store is used only
+    when x is the kept array itself, is emptied when act() solves again,
+    holds at most n + 1 rewards (the n pure columns of a schedule and one
+    certificate), so fresh random mixes cannot grow it, and its arrays are
+    read-only. observe() leaves p as it is where `hedge_weights` would
+    return the uniform start (k = 1 or p_max = 0).
     """
 
     def __init__(self, game: BimatrixGame, assignment: CspAssignment):
@@ -68,37 +87,62 @@ class ForcingState:
         self.t = 0
         self.cumulative = np.zeros(game.k)
         self._flat = game.opponent_payoffs.reshape(game.k, -1)
+        self._shape = (game.m, game.n)
+        if game.n == 2:
+            self._solve = lp.minmax_rows_by_2
+        elif game.m == 2:
+            self._solve = lp.minmax_2_by_cols
+        else:
+            zero_sum_value = lp.zero_sum_value
+            self._solve = lambda omega: zero_sum_value(omega)[:2]
+        # ln k and 2 p_max for _hedge, or None where hedge_weights stays uniform
+        self._hedge_args = (float(np.log(game.k)), 2.0 * game.p_max) if game.k > 1 and game.p_max else None
         self._kept = (b"", None)  # p's bytes at the last solve, and act()'s answer
+        self._stored: Optional[Dict[bytes, np.ndarray]] = None  # opened once x is kept
+        self._store_cap = game.n + 1
 
     def _omega(self) -> np.ndarray:
         # tensordot's own (1, k) x (k, m n) product: p @ flat may take another BLAS kernel
-        return np.dot(self.p.reshape(1, -1), self._flat).reshape(self.game.m, self.game.n)
+        return np.dot(self.p.reshape(1, -1), self._flat).reshape(self._shape)
 
     def act(self) -> Optional[np.ndarray]:
         """The round's action x, or None when only aborting remains."""
         key = self.p.tobytes()
         if key != self._kept[0]:
-            omega = self._omega()
-            if self.game.n == 2:
-                val, x = lp.minmax_rows_by_2(omega)
-            elif self.game.m == 2:
-                val, x = lp.minmax_2_by_cols(omega)
-            else:
-                val, x, _ = lp.zero_sum_value(omega)
+            val, x = self._solve(self._omega())
             x.flags.writeable = False
             self._kept = (key, x if val <= float(self.p @ self.c) + _SLACK else None)
+            self._stored = None
+        elif self._stored is None:
+            self._stored = {}
         return self._kept[1]
 
     def certificate(self) -> np.ndarray:
         """The opponent mix that refutes the menu at the current weights."""
         return lp.zero_sum_value(self._omega())[2]
 
+    def _reward(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = np.einsum("i,kij,j->k", x, self.game.opponent_payoffs, y)
+        r -= self.c
+        return r
+
     def observe(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Feed the rewards u_{O,i}(x, y) - c_i; returns them."""
-        r = np.einsum("i,kij,j->k", x, self.game.opponent_payoffs, y) - self.c
+        stored = self._stored
+        if stored is not None and x is self._kept[1] and type(y) is np.ndarray and y.dtype is _FLOAT:
+            key = y.tobytes()
+            r = stored.get(key)
+            if r is None:
+                r = self._reward(x, y)
+                if len(stored) < self._store_cap:
+                    r.flags.writeable = False
+                    stored[key] = r
+        else:
+            r = self._reward(x, y)
         self.cumulative += r
         self.t += 1
-        self.p = hedge_weights(self.cumulative, self.t, self.game.p_max)
+        if self._hedge_args is not None:
+            self.p = _hedge(self.cumulative, self.t, *self._hedge_args)
         return r
 
 
@@ -132,8 +176,44 @@ RoundPolicy = Callable[[np.random.Generator], np.ndarray]
 Adversary = Callable[[BimatrixGame, CspAssignment], RoundPolicy]
 
 
+class _RunGenerator(np.random.Generator):
+    """A run's generator: the stream of `np.random.default_rng(seed)`, which
+    also keeps the uniform mixes the random adversary has drawn ahead.
+
+    `self.dirichlet(np.ones(n), size=B)` gives, row by row, the values of B
+    single draws, so the kept rows replay single draws bit for bit, and the
+    rows left when an epoch aborts serve the next epoch of the run. Drawing
+    ahead is sound while the random adversary is the only policy that draws
+    from the run's generator, as with every adversary of this module.
+    """
+
+    def __init__(self, seed: int):
+        super().__init__(np.random.PCG64(seed))
+        self._mixes = iter(())
+        self._mix_n = 0
+
+    def uniform_mix(self, n: int) -> np.ndarray:
+        """The next `self.dirichlet(np.ones(n))`, read-only."""
+        y = next(self._mixes, None) if n == self._mix_n else None
+        if y is None:
+            block = self.dirichlet(np.ones(n), size=_DRAW_BLOCK)
+            block.flags.writeable = False
+            self._mixes, self._mix_n = iter(block), n
+            y = next(self._mixes)
+        return y
+
+
 def random_adversary(game: BimatrixGame, assignment: CspAssignment) -> RoundPolicy:
-    return lambda rng: rng.dirichlet(np.ones(game.n))
+    """Plays `rng.dirichlet(np.ones(n))` every round; a run's generator
+    serves it from blocks drawn ahead (`_RunGenerator`)."""
+    n = game.n
+
+    def policy(rng: np.random.Generator) -> np.ndarray:
+        if type(rng) is _RunGenerator:
+            return rng.uniform_mix(n)
+        return rng.dirichlet(np.ones(n))
+
+    return policy
 
 
 def _one_hot(j: int, n: int) -> np.ndarray:
@@ -169,14 +249,15 @@ def make_aborter_adversary(probe_delta: float = 0.02, type_index: int = 0) -> Ad
     """Plays an invalidity certificate whenever the epoch's menu has one,
     otherwise falls back to the assigned schedule.
 
-    One tester net, built at the first probe, serves every epoch of the run.
+    One tester net, built at the first probe of a game, serves every epoch
+    of the run and of later runs on the same game; a new game gets a new net.
     """
     schedule = make_schedule_adversary(type_index)
     net: Optional[TesterNet] = None
 
     def adversary(game: BimatrixGame, assignment: CspAssignment) -> RoundPolicy:
         nonlocal net
-        if net is None:
+        if net is None or net.game is not game:
             net = TesterNet.build(game, probe_delta)
         verdict = test_assignment_valid(assignment, game, probe_delta, net)
         if verdict.approachable:
@@ -208,7 +289,7 @@ class _Rounds:
 
     def __init__(self, adversary: Adversary, seed: int):
         self.adversary = adversary
-        self.rng = np.random.default_rng(seed)
+        self.rng = _RunGenerator(seed)
         self.xs: List[np.ndarray] = []
         self.ys: List[np.ndarray] = []
         self.rewards: List[np.ndarray] = []
@@ -219,17 +300,19 @@ class _Rounds:
         The adversary is told of the epoch at its first round that has an
         action. Returns the round it stopped at: T, or the round it aborted in.
         """
+        act, observe, rng = state.act, state.observe, self.rng
+        keep_x, keep_y, keep_reward = self.xs.append, self.ys.append, self.rewards.append
         policy = None
         for t in range(len(self.xs), T):
-            x = state.act()
+            x = act()
             if x is None:
                 return t
             if policy is None:
                 policy = self.adversary(state.game, state.assignment)
-            y = policy(self.rng)
-            self.xs.append(x)
-            self.ys.append(y)
-            self.rewards.append(state.observe(x, y))
+            y = policy(rng)
+            keep_x(x)
+            keep_y(y)
+            keep_reward(observe(x, y))
         return T
 
     def arrays(self, game: BimatrixGame) -> Tuple[Transcript, np.ndarray]:

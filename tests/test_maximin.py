@@ -381,3 +381,17 @@ def test_fast_step_matches_public_step():
         if action is not None:
             worst = float(np.max(action @ omega))
             assert worst <= kappa + 1e-8
+
+
+def test_one_aborter_serves_runs_on_two_games():
+    # the aborter keeps its tester net per game: a second game gets its own
+    games = [random_game(np.random.default_rng([9600, s]), 2, 2, 2) for s in range(2)]
+    shared = make_aborter_adversary(0.1)
+    for game in games + games[:1]:
+        reused = run_maximin(game, 0.1, shared, 400, seed=2)
+        fresh = run_maximin(game, 0.1, make_aborter_adversary(0.1), 400, seed=2)
+        assert reused.abort_count == fresh.abort_count >= 1
+        assert [e.start_round for e in reused.epochs] == [e.start_round for e in fresh.epochs]
+        assert np.array_equal(reused.transcript.xs, fresh.transcript.xs)
+        assert np.array_equal(reused.transcript.ys, fresh.transcript.ys)
+        assert np.array_equal(reused.rewards, fresh.rewards)
