@@ -27,7 +27,6 @@ from .menus import candidate_menu
 # a forceable level, so act() allows twice that before it aborts
 _SLACK = 2 * lp.TIE_SLACK
 _SCHEDULE_WRAP = 100_000  # rounds after which the schedule adversary starts over
-_FLOAT = np.dtype(float)
 _DRAW_BLOCK = 4096  # Dirichlet mixes the random adversary draws at once
 
 
@@ -129,7 +128,7 @@ class ForcingState:
     def observe(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Feed the rewards u_{O,i}(x, y) - c_i; returns them."""
         stored = self._stored
-        if stored is not None and x is self._kept[1] and type(y) is np.ndarray and y.dtype is _FLOAT:
+        if stored is not None and x is self._kept[1] and type(y) is np.ndarray and y.dtype is lp._FLOAT:
             key = y.tobytes()
             r = stored.get(key)
             if r is None:
@@ -169,13 +168,6 @@ def threshold_assignment(game: BimatrixGame, V: float) -> CspAssignment:
     return CspAssignment(tuple(profiles))
 
 
-# Adversaries are test instruments. An adversary is told of each epoch once,
-# with the game and the epoch's assignment, and returns the round policy that
-# maps the run's generator to the opponent's next mix.
-RoundPolicy = Callable[[np.random.Generator], np.ndarray]
-Adversary = Callable[[BimatrixGame, CspAssignment], RoundPolicy]
-
-
 class _RunGenerator(np.random.Generator):
     """A run's generator: the stream of `np.random.default_rng(seed)`, which
     also keeps the uniform mixes the random adversary has drawn ahead.
@@ -203,17 +195,18 @@ class _RunGenerator(np.random.Generator):
         return y
 
 
+# Adversaries are test instruments. An adversary is told of each epoch once,
+# with the game and the epoch's assignment, and returns the round policy that
+# maps the run's generator to the opponent's next mix.
+RoundPolicy = Callable[[_RunGenerator], np.ndarray]
+Adversary = Callable[[BimatrixGame, CspAssignment], RoundPolicy]
+
+
 def random_adversary(game: BimatrixGame, assignment: CspAssignment) -> RoundPolicy:
-    """Plays `rng.dirichlet(np.ones(n))` every round; a run's generator
-    serves it from blocks drawn ahead (`_RunGenerator`)."""
+    """Plays `rng.dirichlet(np.ones(n))` every round, from the blocks the
+    run's generator draws ahead."""
     n = game.n
-
-    def policy(rng: np.random.Generator) -> np.ndarray:
-        if type(rng) is _RunGenerator:
-            return rng.uniform_mix(n)
-        return rng.dirichlet(np.ones(n))
-
-    return policy
+    return lambda rng: rng.uniform_mix(n)
 
 
 def _one_hot(j: int, n: int) -> np.ndarray:

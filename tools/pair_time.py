@@ -1,13 +1,13 @@
 """Time one CLI command in two checkouts, pair by pair.
 
-    python3 tools/pair_time.py CHECKOUT_A CHECKOUT_B [--pairs 10] -- maximin --game g.json --T 3000
+    python3 tools/pair_time.py CHECKOUT_A CHECKOUT_B -- maximin --game g.json --T 3000
 
 Each sample is a fresh interpreter, with BLAS at one thread as the
 benchmark runs it, that imports menuopt from the checkout's `src/`, runs
-the command once untimed through `menuopt.cli.run` and then times it
-`--repeats` times in-process, keeping the least. A pair takes one sample
-of each checkout, alternating which goes first, so that slow drift of the
-host falls on both sides alike. Paths in the command are relative to the
+the command once untimed through `menuopt.cli.run` and then times it once
+in-process. Each of the ten pairs takes one sample of each checkout,
+alternating which goes first, so that slow drift of the host falls on
+both sides alike. Paths in the command are relative to the
 current directory, for both checkouts.
 
 Prints each side's median seconds, the median over pairs of the ratio
@@ -25,11 +25,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+_PAIRS = 10
+
 _SAMPLE = r"""
 import contextlib, hashlib, io, json, sys, time
 sys.path.insert(0, sys.argv[1])
 from menuopt import cli
-repeats, argv = int(sys.argv[2]), sys.argv[3:]
+argv = sys.argv[2:]
 
 def once():
     out = io.StringIO()
@@ -40,14 +42,14 @@ def once():
     return seconds, code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 _, code, digest = once()
-seconds = min(once()[0] for _ in range(repeats))
+seconds = once()[0]
 print(json.dumps({"seconds": seconds, "output": [code, digest]}))
 """
 
 
-def sample(checkout: Path, repeats: int, argv) -> dict:
+def sample(checkout: Path, argv) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    cmd = [sys.executable, "-c", _SAMPLE, str(checkout / "src"), str(repeats), *argv]
+    cmd = [sys.executable, "-c", _SAMPLE, str(checkout / "src"), *argv]
     done = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
     return json.loads(done.stdout)
 
@@ -56,19 +58,15 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout_a", type=Path)
     parser.add_argument("checkout_b", type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--repeats", type=int, default=1, help="timed runs per sample; the least counts")
     parser.add_argument("argv", nargs="+", help="the CLI command, after --")
     args = parser.parse_args()
-    if args.pairs < 2 or args.repeats < 1:
-        parser.error("--pairs must be at least 2 and --repeats at least 1")
     sides = (args.checkout_a.resolve(), args.checkout_b.resolve())
     times = ([], [])
     outputs = set()
-    for pair in range(args.pairs):
+    for pair in range(_PAIRS):
         order = (0, 1) if pair % 2 == 0 else (1, 0)
         for side in order:
-            got = sample(sides[side], args.repeats, args.argv)
+            got = sample(sides[side], args.argv)
             times[side].append(got["seconds"])
             outputs.add(tuple(got["output"]))
     ratios = [b / a for a, b in zip(*times)]
