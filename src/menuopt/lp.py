@@ -1,14 +1,19 @@
 """Dense linear-programming and zero-sum-game kernel.
 
-Two-phase primal simplex on a dense numpy tableau with Bland's pivoting
-rule throughout, so every solve is deterministic: identical programs give
-identical bases, points, and duals.  One private `_Tableau` holds a
-program in standard form: phase 1 finds a basic feasible point, phase 2
-maximizes an objective from the current basis, and `add_ge_row` appends a
-row that the current point meets, so a later objective starts from the
-last optimum (a warm start) instead of from scratch.  Every optimal solve
-is certified against its recovered dual before it is returned; a solve
-that cannot be certified raises instead of returning a wrong status.
+Two-phase primal simplex on a dense numpy tableau.  The entering column
+is the one of largest reduced cost; after a run of `_DEGENERATE_RUN`
+degenerate pivots Bland's rule (Bland 1977) chooses it instead, until a
+pivot moves the point, so no solve cycles.  The leaving row is the least
+ratio, ties to the smallest basic column.  Every solve is deterministic:
+identical programs give identical bases, points, and duals.  One private
+`_Tableau` holds a program in standard form: phase 1 starts from the
+slack basis, with an artificial only on the rows whose slack cannot be
+basic, and finds a basic feasible point; phase 2 maximizes an objective
+from the current basis, and `add_ge_row` appends a row that the current
+point meets, so a later objective starts from the last optimum (a warm
+start) instead of from scratch.  Every optimal solve is certified
+against its recovered dual before it is returned; a solve that cannot
+be certified raises instead of returning a wrong status.
 
 Orientation conventions: `LinearProgram.objective` is always maximized,
 variables are x >= 0 unless `bounds` says otherwise (scipy's `linprog`
@@ -53,6 +58,9 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _PIVOT_TOL = 1e-9
+# Degenerate pivots in a row (leaving right side <= _PIVOT_TOL) after which
+# Bland's rule enters, until the next pivot that moves the point.
+_DEGENERATE_RUN = 50
 _FEAS_TOL = 1e-8
 _DUAL_TOL = 1e-7
 TIE_SLACK = 1e-9  # slack of the optimal-face row between lexicographic stages
@@ -187,10 +195,11 @@ class _Tableau:
     Columns: one per variable, a column -A[:, j] for the w of each free
     x_j = u - w, a slack per inequality in row order (+1 on <= rows, -1 on
     >= rows), a surplus per row that `add_ge_row` appends, then the right
-    side. Rows are signed so that b >= 0 and the last row carries the
-    reduced costs and -z. `A`, `row_sign` and `keep` are the standard-form
-    rows that dual recovery reads; `A0`, `rels` and `b0` are the rows as
-    given, which `_certify` checks.
+    side. Rows are signed so that b >= 0, a >= row with b <= 0 flipped so
+    that its slack has +1, and the last row carries the reduced costs and
+    -z. `A`, `row_sign` and `keep` are the standard-form rows that dual
+    recovery reads; `A0`, `rels` and `b0` are the rows as given, which
+    `_certify` checks.
     """
 
     def __init__(self, A0: np.ndarray, rels: List[str], b0: np.ndarray, free: np.ndarray):
@@ -202,18 +211,26 @@ class _Tableau:
         A[:, :d] = A0
         A[:, d : d + n_free] = -A0[:, free]
         A[ineq, d + n_free + np.arange(len(ineq))] = [1.0 if rels[i] == LE else -1.0 for i in ineq]
-        neg = b0 < 0
-        A[neg] *= -1.0
+        flip = (b0 < 0) | ((np.array(rels) == GE) & (b0 <= 0))
+        A[flip] *= -1.0
         self.A0, self.rels, self.b0, self.free, self.n_free = A0, list(rels), b0, free, n_free
-        self.A, self.row_sign = A, np.where(neg, -1.0, 1.0)
+        self.A, self.row_sign = A, np.where(flip, -1.0, 1.0)
         self.keep = np.ones(nrows, dtype=bool)
         self.max_iters = 20000 + 200 * (nrows + ncols)
-        # Phase 1 starts from an artificial basis on every row.
-        T = np.zeros((nrows + 1, ncols + nrows + 1))
+        # Phase 1 starts from the slack basis: a row whose slack has +1 starts
+        # with it basic at b; every other row, = rows among them, gets an artificial.
+        basis = [-1] * nrows
+        for k, i in enumerate(ineq):
+            if A[i, d + n_free + k] > 0.0:
+                basis[i] = d + n_free + k
+        art = [i for i in range(nrows) if basis[i] < 0]
+        T = np.zeros((nrows + 1, ncols + len(art) + 1))
         T[:-1, :ncols] = A
-        T[:-1, ncols:-1] = np.eye(nrows)
-        T[:-1, -1] = np.where(neg, -b0, b0)
-        self.T, self.basis, self.scratch = T, list(range(ncols, ncols + nrows)), np.empty_like(T)
+        T[art, ncols + np.arange(len(art))] = 1.0
+        T[:-1, -1] = np.abs(b0)
+        for k, i in enumerate(art):
+            basis[i] = ncols + k
+        self.T, self.basis, self.scratch = T, basis, np.empty_like(T)
 
     def _std(self, c: np.ndarray) -> np.ndarray:
         """c on the standard-form columns: -c on each w, 0 on slacks and surpluses."""
@@ -224,7 +241,12 @@ class _Tableau:
         return out
 
     def _run(self, cost: np.ndarray) -> str:
-        """Drive `cost` (maximize) to optimality from the current basis."""
+        """Drive `cost` (maximize) to optimality from the current basis.
+
+        Enters the column of largest reduced cost (the first on a tie), or
+        Bland's column once `_DEGENERATE_RUN` pivots in a row have left
+        the point where it was, until one moves it again.
+        """
         T, basis, scratch = self.T, self.basis, self.scratch
         # Price out: objective row = cost - cost_B . rows, rhs column carries -z.
         T[-1, :] = 0.0
@@ -233,13 +255,21 @@ class _Tableau:
             cb = cost[basis[i]]
             if cb != 0.0:
                 T[-1] -= cb * T[i]
+        degenerate = 0
         for _ in range(self.max_iters):
-            col = _bland_entering(T[-1, :-1])
-            if col < 0:
-                return OPTIMAL
+            red = T[-1, :-1]
+            if degenerate < _DEGENERATE_RUN:
+                col = int(red.argmax())
+                if red[col] <= _PIVOT_TOL:
+                    return OPTIMAL
+            else:
+                col = _bland_entering(red)
+                if col < 0:
+                    return OPTIMAL
             row = _bland_leaving(T, col, basis)
             if row < 0:
                 return UNBOUNDED
+            degenerate = degenerate + 1 if T[row, -1] <= _PIVOT_TOL else 0
             _pivot(T, row, col, scratch)
             basis[row] = col
         raise NumericalFailure("simplex iteration cap exceeded")
@@ -247,9 +277,10 @@ class _Tableau:
     def phase1(self) -> bool:
         """Reach a basic feasible point, or return False: the program is infeasible.
 
-        Minimizes the artificial mass, drops the artificial columns, pivots
-        the artificials still basic out and drops the rows where none can
-        pivot, which are redundant.
+        Minimizes the mass of the artificial columns (none when every row
+        starts with its slack basic), drops them, pivots the artificials
+        still basic out and drops the rows where none can pivot, which are
+        redundant.
         """
         ncols = self.A.shape[1]
         cost = np.zeros(self.T.shape[1] - 1)

@@ -496,3 +496,50 @@ def test_certificate_checks_domain_and_reduced_cost_sign(name):
     else:
         with pytest.raises(NumericalFailure):
             lp._certify(*args)
+
+
+def counting(monkeypatch, name):
+    """Replace lp.<name> by a wrapper that counts its calls; returns the count."""
+    calls = [0]
+    inner = getattr(lp, name)
+
+    def spy(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(lp, name, spy)
+    return calls
+
+
+def test_beale_cycling_program_ends_by_the_bland_fallback(monkeypatch):
+    # Beale (1955): largest-coefficient pricing cycles through degenerate
+    # bases here, so the solve ends only because Bland's rule takes over.
+    bland = counting(monkeypatch, "_bland_entering")
+    cons = [
+        (np.array([0.25, -8.0, -1.0, 9.0]), lp.LE, 0.0),
+        (np.array([0.5, -12.0, -0.5, 3.0]), lp.LE, 0.0),
+        (np.array([0.0, 0.0, 1.0, 0.0]), lp.LE, 1.0),
+    ]
+    sol = lp.solve_lp(simple([0.75, -20.0, 0.5, -6.0], cons))
+    assert sol.is_optimal
+    assert sol.objective_value == pytest.approx(1.25, abs=1e-12)
+    assert bland[0] > 0
+
+
+@pytest.mark.parametrize(
+    "rels, rhs",
+    [([lp.LE, lp.LE, lp.LE], [1.0, 0.0, 2.0]), ([lp.GE, lp.GE, lp.LE], [-1.0, 0.0, 2.0])],
+    ids=["le-rows-b-ge-0", "ge-rows-b-le-0"],
+)
+def test_slack_basis_needs_no_artificial_and_no_phase1_pivot(monkeypatch, rels, rhs):
+    rows = np.array([[1.0, 2.0], [1.0, -1.0], [3.0, 1.0]])
+    rows[:2] *= 1.0 if rels[0] == lp.LE else -1.0  # the same region either way
+    prog = simple([1.0, 1.0], list(zip(rows, rels, rhs)))
+    tableau = lp._Tableau(*lp._materialize_rows(prog)[1:])
+    assert tableau.T.shape[1] == tableau.A.shape[1] + 1  # the right side follows the real columns
+    pivots = counting(monkeypatch, "_pivot")
+    assert tableau.phase1()
+    assert pivots[0] == 0
+    sol = tableau.maximize(prog.objective)
+    # max x + y s.t. x + 2y <= 1, x <= y, 3x + y <= 2: at (1/3, 1/3)
+    assert sol.objective_value == pytest.approx(2.0 / 3.0, abs=1e-12)

@@ -1,19 +1,21 @@
 """Programs on which the LP kernel has failed, checked against scipy's HiGHS.
 
 Each entry is a `commit-nr` game, `random_game(default_rng(seed), m, n, k)`
-from conftest.py, on which the kernel once ended the commitment program
-"infeasible" or hit a singular basis while HiGHS solved it.  The reference
-program is built here from its definition: per type i a profile phi_i on
-the m*n simplex with no learner regret, type i's Stackelberg leader value
-v_i at least, and no gain from taking another type's profile.  A marked
-entry still fails; the kernel change that mends it removes its marker.
+from conftest.py, on which the kernel once failed while HiGHS solved it:
+it ended the commitment program "infeasible", hit a singular basis or the
+iteration cap, or returned a point that violated a row.  The entries with
+seed [1000 + s, m, n, k] are the failures of the scan in
+`tools/lp_scan.py` under Bland's rule with an artificial on every row.
+The reference program is built here from its definition: per type i a
+profile phi_i on the m*n simplex with no learner regret, type i's
+Stackelberg leader value v_i at least, and no gain from taking another
+type's profile.
 """
 
 import numpy as np
 import pytest
 
 from conftest import random_game
-from menuopt.errors import NumericalFailure
 from menuopt.nr_commitment import optimal_no_regret_commitment
 
 scipy_opt = pytest.importorskip("scipy.optimize")
@@ -25,11 +27,22 @@ CORPUS = [
     pytest.param(773, (7, 7, 3), id="7x7k3-773"),
     pytest.param([6, 6, 3, 5], (6, 6, 3), id="6x6k3-6635"),
     pytest.param([5, 5, 3, 3], (5, 5, 3), id="5x5k3-5533"),
-    pytest.param(
-        [5, 5, 3, 0], (5, 5, 3), id="5x5k3-5530",
-        marks=pytest.mark.xfail(strict=True, raises=NumericalFailure,
-                                reason="commitment program ended infeasible"),
-    ),
+    pytest.param([5, 5, 3, 0], (5, 5, 3), id="5x5k3-5530"),
+    pytest.param([1086, 2, 4, 3], (2, 4, 3), id="2x4k3-1086"),
+    pytest.param([1085, 2, 5, 3], (2, 5, 3), id="2x5k3-1085"),
+    pytest.param([1049, 4, 2, 2], (4, 2, 2), id="4x2k2-1049"),
+    pytest.param([1006, 5, 5, 3], (5, 5, 3), id="5x5k3-1006"),
+    pytest.param([1009, 5, 5, 3], (5, 5, 3), id="5x5k3-1009"),
+    pytest.param([1021, 5, 5, 3], (5, 5, 3), id="5x5k3-1021"),
+    pytest.param([1036, 5, 5, 3], (5, 5, 3), id="5x5k3-1036"),
+    pytest.param([1056, 5, 6, 2], (5, 6, 2), id="5x6k2-1056"),
+    pytest.param([1034, 6, 5, 2], (6, 5, 2), id="6x5k2-1034"),
+    pytest.param([1003, 6, 6, 3], (6, 6, 3), id="6x6k3-1003"),
+    pytest.param([1016, 6, 6, 3], (6, 6, 3), id="6x6k3-1016"),
+    pytest.param([1020, 6, 6, 3], (6, 6, 3), id="6x6k3-1020"),
+    pytest.param([1025, 6, 6, 3], (6, 6, 3), id="6x6k3-1025"),
+    pytest.param([1035, 6, 6, 3], (6, 6, 3), id="6x6k3-1035"),
+    pytest.param(3554, (5, 5, 4), id="5x5k4-3554"),
 ]
 
 

@@ -11,7 +11,9 @@ relaxation uses max(1, p_max) the same way. Each such case is marked
 tester-net cases pass: `lp.zero_sum_values` values their nets without
 the simplex. The no-regret cases 232 at 1e6 and 333 at 1e-6 pass since
 `lp.solve_lexicographic` runs the tie-break stage from the value stage's
-optimum; solved from scratch, that stage hit a singular basis.
+optimum; solved from scratch, that stage hit a singular basis. 322 at
+1e-6 ("infeasible") and 333 at 1e6 ("singular basis") pass since phase 1
+starts from the slack basis and pivots enter by largest reduced cost.
 
 G(m, n, k) is `random_game(default_rng([7000, m, n, k]), m, n, k)`.
 """
@@ -57,10 +59,10 @@ def test_optimize_general_at_scale(g1, game, s):
 @pytest.mark.parametrize(
     "shape,s",
     [
-        pytest.param((3, 2, 2), 1e-6, id="322-1e-6", marks=fails("commitment program ended infeasible")),
+        pytest.param((3, 2, 2), 1e-6, id="322-1e-6"),
         pytest.param((2, 3, 2), 1e6, id="232-1e6"),
         pytest.param((3, 3, 3), 1e-6, id="333-1e-6"),
-        pytest.param((3, 3, 3), 1e6, id="333-1e6", marks=fails("singular basis during dual recovery")),
+        pytest.param((3, 3, 3), 1e6, id="333-1e6"),
     ],
 )
 def test_no_regret_commitment_at_scale(shape, s):
