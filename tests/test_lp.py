@@ -526,20 +526,21 @@ def test_beale_cycling_program_ends_by_the_bland_fallback(monkeypatch):
     assert bland[0] > 0
 
 
-@pytest.mark.parametrize(
-    "rels, rhs",
-    [([lp.LE, lp.LE, lp.LE], [1.0, 0.0, 2.0]), ([lp.GE, lp.GE, lp.LE], [-1.0, 0.0, 2.0])],
-    ids=["le-rows-b-ge-0", "ge-rows-b-le-0"],
-)
-def test_slack_basis_needs_no_artificial_and_no_phase1_pivot(monkeypatch, rels, rhs):
-    rows = np.array([[1.0, 2.0], [1.0, -1.0], [3.0, 1.0]])
-    rows[:2] *= 1.0 if rels[0] == lp.LE else -1.0  # the same region either way
-    prog = simple([1.0, 1.0], list(zip(rows, rels, rhs)))
+# max x + y s.t. x + 2y <= 1, x <= y, 3x + y <= 2, written with <= rows
+# and b >= 0, then with two of them as >= rows and b <= 0
+SLACK_BASIS_ROWS = {
+    "le-rows-b-ge-0": [([1.0, 2.0], lp.LE, 1.0), ([1.0, -1.0], lp.LE, 0.0), ([3.0, 1.0], lp.LE, 2.0)],
+    "ge-rows-b-le-0": [([-1.0, -2.0], lp.GE, -1.0), ([-1.0, 1.0], lp.GE, 0.0), ([3.0, 1.0], lp.LE, 2.0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLACK_BASIS_ROWS))
+def test_slack_basis_needs_no_artificial_and_no_phase1_pivot(monkeypatch, name):
+    prog = simple([1.0, 1.0], [(np.array(row), rel, b) for row, rel, b in SLACK_BASIS_ROWS[name]])
     tableau = lp._Tableau(*lp._materialize_rows(prog)[1:])
     assert tableau.T.shape[1] == tableau.A.shape[1] + 1  # the right side follows the real columns
     pivots = counting(monkeypatch, "_pivot")
     assert tableau.phase1()
     assert pivots[0] == 0
-    sol = tableau.maximize(prog.objective)
-    # max x + y s.t. x + 2y <= 1, x <= y, 3x + y <= 2: at (1/3, 1/3)
+    sol = tableau.maximize(prog.objective)  # at (1/3, 1/3)
     assert sol.objective_value == pytest.approx(2.0 / 3.0, abs=1e-12)
