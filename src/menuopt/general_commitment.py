@@ -113,6 +113,10 @@ def optimize_general(
     best_val = -np.inf
     converged = False
     iters = 0
+    if mn == 1:
+        # every type's only profile is the single pair; there is nothing to
+        # search, and at k = 1 the ellipsoid update would divide by d*d - 1 = 0
+        best_vec, converged, max_iters = np.ones(d), True, 0
 
     for iters in range(1, max_iters + 1):
         cut: Optional[np.ndarray] = None

@@ -18,8 +18,11 @@ it is played, and `simulate` writes rounds [0, d) in bulk:
 * the running profile is a vector of pair counts, bumped by one per round
   and divided by the round number; the counts are whole numbers held as
   floats, so they are exact;
-* the menu is still checked once per round, and `on_round` still sees
-  every round, in order;
+* the menu is screened over the d rounds by one matrix product, within a
+  bound e of `HalfspaceMenu.violation` (`_replay_violation`), and only
+  the rounds within 2e of the screen's maximum are checked again with
+  that kernel, so every reported violation is a value it returned;
+* `on_round` still sees every round, in order;
 * neither policy acts or observes in those rounds.  The learner is told
   once to take on the state it would have after them
   (`LearnerPolicy.fast_forward(d)`); an opponent with a track keeps no
@@ -326,6 +329,40 @@ def optimizer_best_response_policy(
     return chosen, SchedulePolicy(chosen), picked
 
 
+_REPLAY_CHUNK = 1 << 16  # rounds screened per matrix product
+
+
+def _replay_violation(menu: HalfspaceMenu, pairs: np.ndarray) -> float:
+    """The per-round loop's largest `menu.violation` over the replayed
+    rounds `pairs`, with that kernel called only where it may be reached.
+
+    The screen b_t = max_c(N_c . w_t - rhs_c) runs on w_t = C_t / (t + 1),
+    C_t the pair counts, bit for bit the loop's profile.  It and the
+    kernel's v_t order one length-mn dot product apart, so |v_t - b_t| <=
+    e = 2 gamma_{mn+2} (max|N| (1 + mn u) + max|rhs|), gamma_k = k u /
+    (1 - k u), u = 2^-53, with FMA or without; the largest v_t lies on a
+    round with b_t >= max(b) - 2e.  Each distinct w_t there is checked once.
+    """
+    if menu.n_constraints == 0:
+        return 0.0
+    mn, u = menu.dim, 2.0**-53
+    gamma = (mn + 2) * u / (1 - (mn + 2) * u)
+    e = 2 * gamma * (np.abs(menu.normals).max() * (1 + mn * u) + np.abs(menu.rhs).max())
+    best, counts = 0.0, np.zeros(mn)
+    for start in range(0, pairs.size, _REPLAY_CHUNK):
+        chunk = pairs[start : start + _REPLAY_CHUNK]
+        C = np.zeros((chunk.size, mn))
+        C[np.arange(chunk.size), chunk] = 1.0
+        C[0] += counts
+        np.cumsum(C, axis=0, out=C)
+        counts = C[-1].copy()
+        W = C / np.arange(start + 1, start + chunk.size + 1)[:, None]
+        b = (W @ menu.normals.T - menu.rhs).max(axis=1)
+        near = {W[t].tobytes(): t for t in np.flatnonzero(b >= b.max() - 2 * e).tolist()}
+        best = max([best, *(menu.violation(W[t].copy()) for t in near.values())])
+    return best
+
+
 @dataclass(frozen=True)
 class SimReport:
     transcript: Transcript
@@ -351,6 +388,8 @@ def simulate(
 
     The rounds before the first one where the opponent leaves the
     learner's published track are replayed in bulk (module docstring).
+    Their menu check is batched, and only near-maximal rounds are checked
+    again with `menu.violation` (`_replay_violation`).
     """
     if T < 1:
         raise InvalidInput("horizon must be positive")
@@ -373,13 +412,13 @@ def simulate(
         pairs = pairs[:d]
         xs[np.arange(d), pairs // n] = 1.0
         ys[np.arange(d), pairs % n] = 1.0
-        for t, pair in enumerate(pairs.tolist()):
-            avg[pair] += 1.0
-            if on_round is not None:
+        if on_round is not None:
+            for t in range(d):
                 on_round(t, xs[t], ys[t])
-            if menu is not None:
-                viol = menu.violation(np.maximum(avg / (t + 1), 0.0))
-                max_viol = max(max_viol, viol)
+        avg = np.bincount(pairs, minlength=m * n).astype(float)
+        if menu is not None:
+            max_viol = _replay_violation(menu, pairs)
+            viol = menu.violation(np.maximum(avg / d, 0.0))
         learner.fast_forward(d)
     for t in range(d, T):
         x = learner.act(t)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import G1_NR_VALUE
+from conftest import G1_NR_VALUE, random_game
 from menuopt import cli
 from menuopt.core import Csp, CspAssignment
 
@@ -299,3 +299,38 @@ def test_kept_parser_calls_the_current_handler(capsys, monkeypatch, g1_path):
     code, doc = run_json(capsys, "stackelberg", "--game", g1_path)
     assert code == 0
     assert doc["result"] == {"rebound": True}
+
+
+# every command on games with a single row, a single column or both; each
+# must end in a documented exit code with one JSON document on stdout
+DEGENERATE_COMMANDS = {
+    "check-menu": ["check-menu", "--assignment", "ASSIGN"],
+    "commit-general": ["commit-general"],
+    "commit-nr": ["commit-nr"],
+    "maximin": ["maximin", "--T", "200"],
+    "maximin-aborter": ["maximin", "--T", "200", "--adversary", "aborter"],
+    "oracle-nr": ["oracle", "nr", "--resolution", "0.25"],
+    "oracle-validity": ["oracle", "validity", "--resolution", "0.25", "--assignment", "ASSIGN"],
+    "oracle-maximin": ["oracle", "maximin", "--resolution", "0.25"],
+    "simulate-nr": ["simulate", "--learner", "commit-nr", "--T", "200"],
+    "simulate-general": ["simulate", "--learner", "commit-general", "--T", "200"],
+    "stackelberg": ["stackelberg"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEGENERATE_COMMANDS))
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)], ids="{0[0]}x{0[1]}".format)
+def test_every_command_on_a_degenerate_shape(capsys, tmp_path, shape, k, command):
+    m, n = shape
+    game = random_game(np.random.default_rng([9200, m, n, k]), m, n, k)
+    gp = tmp_path / "game.json"
+    gp.write_text(game.to_json())
+    ap = tmp_path / "assign.json"
+    ap.write_text(CspAssignment(tuple(Csp(np.full(m * n, 1.0 / (m * n))) for _ in range(k))).to_json())
+    argv = [str(ap) if a == "ASSIGN" else a for a in DEGENERATE_COMMANDS[command]]
+    code, out = run_cli(capsys, *argv, "--game", str(gp))
+    assert code in (0, 2, 3)
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    json.loads(lines[0])

@@ -255,6 +255,7 @@ def test_identical_types_get_identical_profiles(alpha):
 # every degenerate shape it must converge, certify its menu and come within
 # eps of the no-regret optimum.
 GENERAL_GAMES = {
+    "single_pair": lambda: BimatrixGame(np.array([[0.3]]), ((np.array([[-0.2]]), 1.0),)),
     "single_row": one_row_game,
     "single_column": single_column_game,
     "constant_payoffs": constant_game,
@@ -272,3 +273,14 @@ def test_optimize_general_reaches_the_no_regret_value(name):
     assert res.converged
     assert res.verdict_approachable
     assert res.value_lower_bound >= optimal_no_regret_commitment(game).value - EPS
+
+
+# with one pair every type's only profile is that pair: the search returns
+# it at once (at k = 1 the ellipsoid update would divide by zero)
+@pytest.mark.parametrize("k", [1, 2])
+def test_optimize_general_on_a_single_pair_does_not_search(k):
+    game = random_game(np.random.default_rng([9200, 1, 1, k]), 1, 1, k)
+    res = optimize_general(game, EPS)
+    assert (res.converged, res.iterations, res.verdict_approachable) == (True, 0, True)
+    assert [p.weights.tolist() for p in res.assignment] == [[1.0]] * k
+    assert res.value_lower_bound == pytest.approx(float(game.u_L[0, 0]), abs=1e-12)

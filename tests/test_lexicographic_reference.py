@@ -195,6 +195,22 @@ def test_negative_surplus_is_set_to_zero():
     assert gap <= 1e-8 and not cold_failed and surplus[0] < 0.0
 
 
+def test_face_row_above_the_optimum_is_clamped_to_zero_surplus():
+    # A face row written 1e-12 above the optimum of 11 (x = (3, 1)) has a
+    # negative surplus whatever basis the pivot rule ends in.
+    obj = np.array([3.0, 2.0])
+    cons = [(np.array(row), lp.LE, b) for row, b in (([1.0, 1.0], 4.0), ([1.0, 3.0], 6.0), ([1.0, 0.0], 3.0))]
+    tableau = lp._Tableau(*lp._materialize_rows(lp.LinearProgram(obj, cons))[1:])
+    assert tableau.phase1()
+    first = tableau.maximize(obj)
+    assert first.is_optimal and first.objective_value == 11.0
+    tableau.add_ge_row(obj, first.objective_value + 1e-12)
+    assert np.float64(tableau.T[-2, -1]).tobytes() == np.float64(0.0).tobytes()
+    second = tableau.maximize(np.array([0.0, 1.0]))
+    assert second.is_optimal
+    assert second.point.tolist() == pytest.approx([3.0, 1.0], abs=1e-12)
+
+
 def test_list_ends_at_the_first_stage_that_is_not_optimal():
     objectives = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])]
     # stage 2 is unbounded (x1 has no upper row); infeasible from stage 1

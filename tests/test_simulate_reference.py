@@ -8,13 +8,15 @@ state, whether the opponent follows the published schedule to the end,
 leaves it at some round, never joins it, or the learner publishes no track.
 """
 
+import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import random_game
-from menuopt.core import Csp, Transcript, bilinear_value, csp_of_transcript
+from menuopt import playback
+from menuopt.core import BimatrixGame, Csp, Transcript, bilinear_value, csp_of_transcript
 from menuopt.errors import InvalidInput
 from menuopt.maximin import threshold_assignment
 from menuopt.menus import HalfspaceMenu, no_regret_menu
@@ -23,6 +25,7 @@ from menuopt.playback import (
     BlackwellAbortPolicy,
     ComposedAbortableLearner,
     FixedMixPolicy,
+    LearnerPolicy,
     MenuScheduleLearner,
     OpponentPolicy,
     SchedulePolicy,
@@ -128,10 +131,15 @@ def run_both(game, make_learner, make_opponent, T, **kw):
     return got_learner, ref_learner
 
 
-@pytest.fixture(scope="module", params=["g1", "3x3k2"])
-def played(request, g1):
-    """A game, a commit-nr learner over its no-regret hull, and the type-0 pick."""
-    game = g1 if request.param == "g1" else random_game(np.random.default_rng(31), 3, 3, 2)
+def integer_game():
+    """3x3, k = 2, payoffs in -3..3; the type-0 pick weighs three pairs 1/3 each."""
+    rng = np.random.default_rng([9300, 5])
+    u_L = rng.integers(-3, 4, (3, 3)).astype(float)
+    return BimatrixGame(u_L, tuple((rng.integers(-3, 4, (3, 3)).astype(float), 0.5) for _ in range(2)))
+
+
+def commit_nr_play(game):
+    """A commit-nr learner over the no-regret hull of `game`, and the type-0 pick."""
     res = optimal_no_regret_commitment(game)
     chosen, _, _ = optimizer_best_response_policy(
         res.nsr_menu, res.extra_points, game.u_O(0), game.u_L, game
@@ -142,6 +150,12 @@ def played(request, g1):
         return MenuScheduleLearner(no_regret_menu(game), targets, res.nsr_menu)
 
     return game, learner, chosen, len(targets) - 1
+
+
+@pytest.fixture(scope="module", params=["g1", "3x3k2", "integer"])
+def played(request, g1):
+    games = {"g1": lambda: g1, "3x3k2": lambda: random_game(np.random.default_rng(31), 3, 3, 2)}
+    return commit_nr_play(games.get(request.param, integer_game)())
 
 
 def _menus(game):
@@ -208,4 +222,122 @@ def test_trackless_composed_learners(g1, menu):
     run_both(
         g1, lambda: ComposedAbortableLearner([BlackwellAbortPolicy(assign)]),
         lambda: SchedulePolicy(assign[0]), T, menu=_menus(g1)[menu],
+    )
+
+
+class JitteredMenu(HalfspaceMenu):
+    """A kernel that sums in another order than the batched screen.
+
+    Its value is the correctly rounded sum of the rounded products, minus
+    rhs, moved by a jitter drawn from the bits of w of up to 2u times the
+    largest |N| or |rhs|: within 5u (max|N| + max|rhs|) of the exact
+    value, inside the bound that the replay's recheck allows any
+    summation order when mn >= 3.
+    """
+
+    def violation(self, w):
+        sums = np.array([math.fsum(row * w) for row in self.normals]) - self.rhs
+        size = np.finfo(float).eps * max(np.abs(self.normals).max(), np.abs(self.rhs).max())
+        jitter = np.random.default_rng(w.view(np.uint64)).uniform(-size, size, sums.size)
+        return float(max(0.0, np.max(sums + jitter)))
+
+
+def _replay_menus(game, chosen):
+    support = (chosen.weights > 0).astype(float)
+    nr = no_regret_menu(game)
+    return {
+        # the schedule plays only pairs on this face, so every replayed round
+        # reads 0.1 sum(w_t) - 0.1, zero up to round-off; the kernel and the
+        # batched screen round it apart on some rounds, and on g1 the largest
+        # violation falls on a round whose screened value is not the largest
+        "face": HalfspaceMenu(0.1 * support[None], [0.1]),
+        # the same face under a kernel that rounds apart from the screen on
+        # every round, whatever the BLAS
+        "jittered face": JitteredMenu(0.1 * support[None], [0.1]),
+        # one ulp higher: on 3x3k2 every screened value is below 0, while the
+        # kernel reads above 0 on some round
+        "jittered raised face": JitteredMenu(0.1 * support[None], [np.nextafter(0.1, 1.0)]),
+        "face+no-regret": HalfspaceMenu(np.vstack([0.1 * support, nr.normals]), np.append(0.1, nr.rhs)),
+        "slack": HalfspaceMenu(np.ones((1, support.size)), [2.0]),
+        "unconstrained": HalfspaceMenu.unconstrained(support.size),
+    }
+
+
+@pytest.mark.parametrize("chunk", [7, playback._REPLAY_CHUNK], ids=["chunk7", "chunk-default"])
+@pytest.mark.parametrize(
+    "menu", ["face", "jittered face", "jittered raised face", "face+no-regret", "slack", "unconstrained"]
+)
+@pytest.mark.parametrize("d", [T // 2, T])
+def test_replay_menu_check(played, monkeypatch, chunk, menu, d):
+    game, learner, chosen, index = played
+    monkeypatch.setattr(playback, "_REPLAY_CHUNK", chunk)
+    got, ref = run_both(
+        game, learner, lambda: LeavesSchedule(chosen, d), T,
+        chosen_target=index, menu=_replay_menus(game, chosen)[menu],
+    )
+    assert _bits(got.avg) == _bits(ref.avg)
+
+
+class TrackLearner(LearnerPolicy):
+    """Plays the rows of a fixed pair sequence and publishes it as its track."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def reset(self, game, T, chosen_target):
+        self.rows = np.eye(game.m)[self.pairs // game.n]
+
+    def act(self, t):
+        return self.rows[t]
+
+    def track(self):
+        return self.pairs
+
+    def fast_forward(self, d):
+        pass
+
+
+class TrackOpponent(OpponentPolicy):
+    """Plays the columns of a fixed pair sequence."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def reset(self, game, T):
+        self.columns = self.pairs % game.n
+        self.cols = np.eye(game.n)[self.columns]
+
+    def act(self, t):
+        return self.cols[t]
+
+    def track(self):
+        return self.columns
+
+
+@pytest.mark.parametrize("chunk", [7, playback._REPLAY_CHUNK], ids=["chunk7", "chunk-default"])
+def test_replay_maximum_reached_late(g1, monkeypatch, chunk):
+    # pair 1 is played ever more often, so w_t[1] - 0.3 peaks late in the run
+    rng = np.random.default_rng(9400)
+    rising = rng.random(T) < np.linspace(0.0, 0.8, T)
+    pairs = np.where(rising, 1, rng.choice([0, 2, 3, 4, 5], T))
+    menu = HalfspaceMenu(np.eye(6)[[1, 0]], [0.3, 0.9])
+    counts = np.cumsum(np.eye(6)[pairs], axis=0) / np.arange(1, T + 1)[:, None]
+    assert np.argmax(counts[:, 1]) > T // 2
+    monkeypatch.setattr(playback, "_REPLAY_CHUNK", chunk)
+    run_both(g1, lambda: TrackLearner(pairs), lambda: TrackOpponent(pairs), T, menu=menu)
+
+
+# 108 games over every shape with m <= 4, n <= 3, k <= 3, one row or column
+# included; each learner plays its type-0 pick to the end, and the run's
+# menu check is the batched one throughout
+SWEEP = [(m, n, k, s) for m in range(1, 5) for n in range(1, 4) for k in range(1, 4) for s in range(3)]
+
+
+@pytest.mark.parametrize("m,n,k,s", SWEEP, ids=[f"{m}x{n}k{k}-{s}" for m, n, k, s in SWEEP])
+def test_sweep_commit_nr_hull(m, n, k, s):
+    game = random_game(np.random.default_rng([9100 + s, m, n, k]), m, n, k)
+    game, learner, chosen, index = commit_nr_play(game)
+    run_both(
+        game, learner, lambda: SchedulePolicy(chosen), T,
+        chosen_target=index, menu=no_regret_menu(game),
     )
