@@ -6,6 +6,12 @@ profile. The library's `simulate` must give exactly the same report, field
 for field, the same `on_round` calls, and leave the learner in the same
 state, whether the opponent follows the published schedule to the end,
 leaves it at some round, never joins it, or the learner publishes no track.
+
+The replayed rounds' menu check is batched and checks only near-maximal
+rounds again with the kernel, so the menus below include faces on which
+every replayed round is checked again, a kernel that rounds apart from the
+batched screen, a maximum late in the run, replays cut into chunks of 7
+rounds, and a sweep of 108 games.
 """
 
 import math
@@ -154,8 +160,12 @@ def commit_nr_play(game):
 
 @pytest.fixture(scope="module", params=["g1", "3x3k2", "integer"])
 def played(request, g1):
-    games = {"g1": lambda: g1, "3x3k2": lambda: random_game(np.random.default_rng(31), 3, 3, 2)}
-    return commit_nr_play(games.get(request.param, integer_game)())
+    games = {
+        "g1": lambda: g1,
+        "3x3k2": lambda: random_game(np.random.default_rng(31), 3, 3, 2),
+        "integer": integer_game,
+    }
+    return commit_nr_play(games[request.param]())
 
 
 def _menus(game):
