@@ -276,8 +276,7 @@ def _lexicographic_h(G: np.ndarray, margin: float) -> np.ndarray:
         raise CertificateInvalid("lexicographic refinement lost feasibility")
     if not stages[-1].is_optimal:
         raise NumericalFailure("lexicographic refinement lost feasibility")
-    h = np.maximum(stages[-1].point, 0.0)
-    return h / h.sum()
+    return lp.normalized(stages[-1].point)
 
 
 def water_fill_repair(

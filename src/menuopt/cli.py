@@ -80,12 +80,12 @@ def _load_assignment(path: Optional[str], game: BimatrixGame) -> CspAssignment:
 
 
 def cmd_stackelberg(game: BimatrixGame, args) -> dict:
+    if args.type is not None and not 0 <= args.type < game.k:
+        raise InvalidInput(f"type index {args.type} out of range")
     v, csps = type_leader_values(game)
     types = range(game.k) if args.type is None else [args.type]
     out = []
     for i in types:
-        if not 0 <= i < game.k:
-            raise InvalidInput(f"type index {i} out of range")
         mat = csps[i].weights.reshape(game.m, game.n)
         li, oj = np.unravel_index(int(np.argmax(mat)), mat.shape)
         out.append(

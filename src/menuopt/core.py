@@ -63,6 +63,8 @@ class BimatrixGame:
             if not np.all(np.isfinite(u_O)):
                 raise InvalidInput("u_O must be finite")
             alpha = float(alpha)
+            if not np.isfinite(alpha):
+                raise InvalidInput("type probabilities must be finite")
             if alpha < -1e-12:
                 raise InvalidInput("type probabilities must be nonnegative")
             total += alpha

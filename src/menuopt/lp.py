@@ -19,13 +19,14 @@ Orientation conventions: `LinearProgram.objective` is always maximized,
 variables are x >= 0 unless `bounds` says otherwise (scipy's `linprog`
 convention), and `zero_sum_value` treats the row player as the minimizer.
 
-Two helpers give every solver module the same vocabulary.
+Three helpers give every solver module the same vocabulary.
 `simplex_row` builds the row sum(x[lo:hi]) = 1; with the default domain
-it makes x[lo:hi] a probability vector.  `solve_lexicographic` maximizes
-a list of objectives in turn, each over the optimal face of the ones
-before, on one tableau; it implements the package's tie rule once: an
-opponent type takes its favourite point, and among points within
-relax + TIE_SLACK of that favourite the learner's best one is chosen.
+it makes x[lo:hi] a probability vector, and `normalized` turns a solved
+point back into one.  `solve_lexicographic` maximizes a list of
+objectives in turn, each over the optimal face of the ones before, on
+one tableau.  The package's tie rule, an opponent type taking its
+favourite point and the learner's best one chosen among points within
+relax + TIE_SLACK of it, is `menus.type_picks`, two stages of it.
 
 `zero_sum_values` values a stack of small zero-sum games without a
 simplex per game.  An optimal mix of each player is a vertex fixed by a
@@ -112,6 +113,12 @@ def simplex_row(d: int, lo: int = 0, hi: Optional[int] = None) -> Row:
     total = np.zeros(d)
     total[lo:hi] = 1.0
     return (total, EQ, 1.0)
+
+
+def normalized(x: np.ndarray) -> np.ndarray:
+    """x clipped at 0 and divided by its sum along the last axis."""
+    x = np.maximum(x, 0.0)
+    return x / x.sum(axis=-1, keepdims=True)
 
 
 def _scale(*arrays: np.ndarray) -> float:
@@ -479,16 +486,12 @@ def zero_sum_value(M: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
     sol = solve_lp(LinearProgram(obj, cons, [(0, None)] * p + [(None, None)]))
     if not sol.is_optimal:
         raise NumericalFailure(f"zero-sum solve ended with status {sol.status}")
-    x = sol.point[:p]
-    x = np.maximum(x, 0.0)
-    x /= x.sum()
+    x = normalized(sol.point[:p])
     value = -sol.objective_value
     # The duals of the q column constraints recover the maximizer's mix.
-    y = np.maximum(np.asarray(sol.dual[:q]), 0.0)
-    tot = y.sum()
-    if tot <= 0:
+    if not np.any(sol.dual[:q] > 0.0):
         raise NumericalFailure("degenerate dual mix in zero-sum solve")
-    y = y / tot
+    y = normalized(sol.dual[:q])
     if abs(float(np.max(M.T @ x)) - value) > 1e-7 * max(1.0, abs(value)):
         raise NumericalFailure("zero-sum primal certificate failed")
     if float(np.min(M @ y)) < value - 1e-7 * max(1.0, abs(value), float(np.max(np.abs(M)))):
@@ -555,8 +558,7 @@ def _kernel_upper_bounds(stack: np.ndarray) -> np.ndarray:
                 x = _solve_kernels(border, rhs)[:, :s, 0]
                 with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
                     real = np.all(np.isfinite(x) & (x >= -1e-12), axis=1)
-                    x = np.maximum(x, 0.0)
-                    x /= x.sum(axis=1, keepdims=True)
+                    x = normalized(x)
                     bound = np.max(np.matmul(x[:, None, :], sub)[:, 0], axis=1)
                 best = np.where(real & (bound < best), bound, best)
     return best

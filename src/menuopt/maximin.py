@@ -20,8 +20,8 @@ from . import lp
 from .approachability import TesterNet, test_assignment_valid
 from .core import (BimatrixGame, Csp, CspAssignment, Transcript, bilinear_value,
                    csp_of_transcript, schedule_pairs)
-from .errors import InvalidInput, NumericalFailure, ThresholdInfeasible
-from .menus import candidate_menu
+from .errors import EmptyMenu, InvalidInput, ThresholdInfeasible
+from .menus import candidate_menu, type_picks
 
 # threshold_assignment's tie-break stage may leave c up to lp.TIE_SLACK below
 # a forceable level, so act() allows twice that before it aborts
@@ -146,26 +146,16 @@ class ForcingState:
 
 
 def threshold_assignment(game: BimatrixGame, V: float) -> CspAssignment:
-    """Per type, its favorite profile among {u_L(phi) >= V}, learner-tie-broken.
-
-    Two programs per type: the type's top utility over the level set,
-    then the learner's best profile among those top points, which makes
-    the assignment deterministic and incentive compatible.
-    """
-    mn = game.m * game.n
+    """Per type, its `menus.type_picks` pick of the level set {u_L(phi) >= V}:
+    deterministic and incentive compatible."""
     if V > float(np.max(game.u_L)) + _SLACK:
         raise ThresholdInfeasible(f"no profile attains learner value {V}")
-    base = [lp.simplex_row(mn), (game.u_L.ravel(), lp.GE, float(V))]
-    profiles = []
-    for i in range(game.k):
-        stages = lp.solve_lexicographic([game.u_O(i).ravel(), game.u_L.ravel()], base)
-        if not stages[0].is_optimal:
-            raise ThresholdInfeasible(f"level set at {V} is empty")
-        if not stages[-1].is_optimal:
-            raise NumericalFailure("tie-breaking solve failed")
-        w = np.maximum(stages[-1].point, 0.0)
-        profiles.append(Csp(w / w.sum()))
-    return CspAssignment(tuple(profiles))
+    base = [lp.simplex_row(game.m * game.n), (game.u_L.ravel(), lp.GE, float(V))]
+    try:
+        picks = type_picks(base, game.opponent_payoffs.reshape(game.k, -1), game.u_L.ravel())
+    except EmptyMenu as exc:
+        raise ThresholdInfeasible(f"level set at {V} is empty") from exc
+    return CspAssignment(tuple(Csp(lp.normalized(pick.point)) for pick in picks))
 
 
 class _RunGenerator(np.random.Generator):
@@ -216,8 +206,8 @@ def _one_hot(j: int, n: int) -> np.ndarray:
     return y
 
 
-def make_schedule_adversary(type_index: int = 0) -> Adversary:
-    """Plays the column track of a pure-pair schedule for its assigned profile.
+def make_schedule_adversary() -> Adversary:
+    """Plays the column track of a pure-pair schedule for type 0's assigned profile.
 
     The schedule restarts every epoch and wraps after 100,000 rounds; its
     pairs are generated only as far as the epoch has played. Each round
@@ -229,7 +219,7 @@ def make_schedule_adversary(type_index: int = 0) -> Adversary:
 
         def columns():
             while True:
-                for pair in islice(schedule_pairs(assignment[type_index]), _SCHEDULE_WRAP):
+                for pair in islice(schedule_pairs(assignment[0]), _SCHEDULE_WRAP):
                     yield pure[pair % game.n]
 
         track = columns()
@@ -238,14 +228,14 @@ def make_schedule_adversary(type_index: int = 0) -> Adversary:
     return adversary
 
 
-def make_aborter_adversary(probe_delta: float = 0.02, type_index: int = 0) -> Adversary:
+def make_aborter_adversary(probe_delta: float = 0.02) -> Adversary:
     """Plays an invalidity certificate whenever the epoch's menu has one,
     otherwise falls back to the assigned schedule.
 
     One tester net, built at the first probe of a game, serves every epoch
     of the run and of later runs on the same game; a new game gets a new net.
     """
-    schedule = make_schedule_adversary(type_index)
+    schedule = make_schedule_adversary()
     net: Optional[TesterNet] = None
 
     def adversary(game: BimatrixGame, assignment: CspAssignment) -> RoundPolicy:

@@ -5,14 +5,14 @@ A menu is a convex set of correlated strategy profiles, represented here
 as the intersection of the profile simplex with finitely many linear
 inequalities normal . phi <= rhs.  Emptiness is a legal state.  Its value
 to the learner (`eval_menu_value`) is the prior-weighted learner payoff of
-each type's eps-relaxed pick from it.
+each type's eps-relaxed pick from it (`type_picks`, the package's tie rule).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -155,26 +155,35 @@ def incentive_check(assign: CspAssignment, game: BimatrixGame, slack: float = 0.
     return bool(np.all(own[:, None] >= vals - slack))
 
 
-def eval_menu_value(menu: HalfspaceMenu, game: BimatrixGame, eps: float) -> float:
-    """Learner value of a menu under eps-relaxed opponent best response.
-
-    Per type: the type's top utility over the menu, then the learner's
-    best profile among menu points within eps of that top.
+def type_picks(
+    constraints: Sequence[lp.Row],
+    type_objectives: Sequence[np.ndarray],
+    learner_objective: np.ndarray,
+    relax: float = 0.0,
+) -> List[lp.LpSolution]:
+    """Per type objective, the last stage of `lp.solve_lexicographic([type,
+    learner], constraints, relax)`: the type's favourite point, tie broken
+    for the learner among points within relax + TIE_SLACK of its top.
     """
-    mn = game.m * game.n
-    base = [lp.simplex_row(mn)]
-    for c in range(menu.n_constraints):
-        base.append((menu.normals[c], lp.LE, float(menu.rhs[c])))
-    total = 0.0
-    for i in range(game.k):
-        stages = lp.solve_lexicographic([game.u_O(i).ravel(), game.u_L.ravel()], base, relax=eps)
+    picks = []
+    for obj in type_objectives:
+        stages = lp.solve_lexicographic([obj, learner_objective], constraints, relax)
         # Phase 1 ignores the objective, so a failed first stage means no point.
         if not stages[0].is_optimal:
-            raise EmptyMenu("menu does not intersect the profile simplex")
+            raise EmptyMenu("no point meets the menu's constraints")
         if not stages[-1].is_optimal:
             raise NumericalFailure("tie-breaking solve failed")
-        total += game.alphas[i] * stages[-1].objective_value
-    return float(total)
+        picks.append(stages[-1])
+    return picks
+
+
+def eval_menu_value(menu: HalfspaceMenu, game: BimatrixGame, eps: float) -> float:
+    """Learner value of a menu under eps-relaxed opponent best response:
+    the prior-weighted learner payoff of each type's `type_picks` pick."""
+    rows = [lp.simplex_row(game.m * game.n)]
+    rows += [(normal, lp.LE, float(b)) for normal, b in zip(menu.normals, menu.rhs)]
+    picks = type_picks(rows, game.opponent_payoffs.reshape(game.k, -1), game.u_L.ravel(), eps)
+    return float(sum(alpha * pick.objective_value for alpha, pick in zip(game.alphas, picks)))
 
 
 def response_satisfiable_at(
@@ -194,8 +203,7 @@ def response_satisfiable_at(
     sol = lp.solve_lp(lp.LinearProgram(np.zeros(m), cons))
     if not sol.is_optimal:
         return None
-    x = np.maximum(sol.point, 0.0)
-    return x / x.sum()
+    return lp.normalized(sol.point)
 
 
 def menu_violation(phi: Csp, menu: HalfspaceMenu) -> float:

@@ -74,10 +74,7 @@ def optimal_no_regret_commitment(game: BimatrixGame) -> NoRegretCommitment:
         raise lp.NumericalFailure(f"commitment program ended {first.status}")
     # A failed tie-break keeps the value-optimal first-stage point.
     point = stages[-1].point if stages[-1].is_optimal else first.point
-    profiles = []
-    for i in range(k):
-        w = np.maximum(point[i * mn : (i + 1) * mn], 0.0)
-        profiles.append(Csp(w / w.sum()))
+    profiles = [Csp(lp.normalized(point[i * mn : (i + 1) * mn])) for i in range(k)]
     assignment = CspAssignment(tuple(profiles))
     return NoRegretCommitment(
         assignment=assignment,

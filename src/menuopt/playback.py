@@ -52,9 +52,9 @@ from .core import (
     csp_of_transcript,
     schedule_pairs,
 )
-from .errors import EmptyMenu, InvalidInput, InvalidTarget, NumericalFailure
+from .errors import InvalidInput, InvalidTarget
 from .maximin import ForcingState
-from .menus import HalfspaceMenu, menu_violation
+from .menus import HalfspaceMenu, menu_violation, type_picks
 
 
 def schedule_for(target: Csp, T: int) -> np.ndarray:
@@ -313,17 +313,11 @@ def optimizer_best_response_policy(
             vec[mn + 1 + j] = bilinear_value(payoff, p)
         return vec
 
-    stages = lp.solve_lexicographic([value_vector(u_O), value_vector(u_L)], cons)
-    if not stages[0].is_optimal:
-        raise EmptyMenu("menu and extra points admit no profile")
-    if not stages[-1].is_optimal:
-        raise NumericalFailure("tie-breaking solve failed")
-    z = stages[-1].point
+    z = type_picks(cons, [value_vector(u_O)], value_vector(u_L))[0].point
     phi_w = z[:mn].copy()
     for j, p in enumerate(extra_points):
         phi_w += z[mn + 1 + j] * p.weights
-    phi_w = np.maximum(phi_w, 0.0)
-    chosen = Csp(phi_w / phi_w.sum())
+    chosen = Csp(lp.normalized(phi_w))
     lam = z[mn + 1 :]
     picked = int(np.argmax(lam)) if r and np.max(lam) > 1.0 - 1e-6 else -1
     return chosen, SchedulePolicy(chosen), picked

@@ -53,8 +53,7 @@ def stackelberg_leader(
         if not sol.is_optimal:
             continue  # f is strictly dominated for the follower
         if best is None or sol.objective_value > best[0] + _TIE_TOL:
-            x = np.maximum(sol.point, 0.0)
-            best = (sol.objective_value, f, x / x.sum())
+            best = (sol.objective_value, f, lp.normalized(sol.point))
     if best is None:
         raise InvalidInput("no follower action admits a best-response region")
     value, f, x = best

@@ -7,6 +7,7 @@ import pytest
 from conftest import G1_NR_VALUE, random_game
 from menuopt import cli
 from menuopt.core import Csp, CspAssignment
+from menuopt.errors import NumericalFailure
 
 G1_DOC = {
     "m": 3,
@@ -244,6 +245,29 @@ def test_schema_violation_exits_2(capsys, tmp_path):
 def test_bad_type_index_exits_2(capsys, g1_path):
     code, out = run_cli(capsys, "stackelberg", "--game", g1_path, "--type", "3")
     assert code == 2
+
+
+def test_stackelberg_checks_the_type_index_before_solving(capsys, monkeypatch, g1_path):
+    def failing_solve(game):
+        raise NumericalFailure("leader LP failed")
+
+    monkeypatch.setattr(cli, "type_leader_values", failing_solve)
+    code, out = run_cli(capsys, "stackelberg", "--game", g1_path, "--type", "3")
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "validation", "message": "type index 3 out of range"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["stackelberg"], ["commit-general", "--max-iters", "20"], ["maximin", "--T", "50"]],
+    ids=lambda argv: argv[0],
+)
+def test_nan_prior_weight_exits_2(capsys, tmp_path, argv):
+    p = tmp_path / "nan.json"
+    p.write_text('{"m": 2, "n": 2, "u_L": [[1, 0], [0, 1]], "types": [{"u_O": [[0, 1], [1, 0]], "alpha": NaN}]}')
+    code, out = run_cli(capsys, *argv, "--game", str(p))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "validation"
 
 
 def test_unknown_subcommand_exits_2(capsys, g1_path):

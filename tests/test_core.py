@@ -132,6 +132,10 @@ def test_game_invariants():
         BimatrixGame(np.zeros((2, 2)), ((np.zeros((2, 2)), 0.5),))  # alphas sum to 0.5
     with pytest.raises(InvalidInput):
         BimatrixGame(np.zeros((2, 2)), ((np.zeros((3, 2)), 1.0),))  # shape mismatch
+    with pytest.raises(InvalidInput):
+        BimatrixGame(np.zeros((2, 2)), ((np.zeros((2, 2)), np.nan),))  # NaN passes the sum check
+    with pytest.raises(InvalidInput):  # JSON's NaN literal
+        BimatrixGame.from_json('{"m": 1, "n": 1, "u_L": [[0]], "types": [{"u_O": [[0]], "alpha": NaN}]}')
 
 
 def test_csp_invariants():

@@ -31,7 +31,7 @@ EPS = 0.05
 T = 300
 ADVERSARIES = {
     "aborter": lambda: make_aborter_adversary(0.02),
-    "schedule": lambda: make_schedule_adversary(0),
+    "schedule": lambda: make_schedule_adversary(),
     "random": lambda: random_adversary,
 }
 U_L = np.array([[0.5, -0.2], [0.1, 0.9]])

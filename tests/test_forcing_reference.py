@@ -30,7 +30,7 @@ from menuopt.menus import candidate_menu
 SHAPES = [(m, n, k) for m in (1, 2, 3) for n in (1, 2, 3) for k in (1, 2, 3)]
 ADVERSARIES = {
     "aborter": lambda: make_aborter_adversary(0.1),
-    "schedule": lambda: make_schedule_adversary(0),
+    "schedule": lambda: make_schedule_adversary(),
     "random": lambda: random_adversary,
 }
 T = 120

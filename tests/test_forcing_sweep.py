@@ -41,7 +41,7 @@ def per_round_random_adversary(game, assignment):
 
 ADVERSARIES = {  # name: (the library's side, the reference side)
     "aborter": (lambda: make_aborter_adversary(0.1), lambda: make_aborter_adversary(0.1)),
-    "schedule": (lambda: make_schedule_adversary(0), lambda: make_schedule_adversary(0)),
+    "schedule": (lambda: make_schedule_adversary(), lambda: make_schedule_adversary()),
     "random": (lambda: random_adversary, lambda: per_round_random_adversary),
 }
 

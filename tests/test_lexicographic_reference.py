@@ -4,9 +4,11 @@
 each face row obj . x >= value - relax - TIE_SLACK to its tableau and runs
 phase 2 from the last optimum. `cold_stages` is the loop it replaced, kept
 here as the reference: one `solve_lp` per stage on the constraints and the
-face rows so far. The programs are the ones the exact solvers hand to
+face rows so far. The programs are the ones the solvers hand to
 `solve_lexicographic` on seeded games: `commit-nr` programs, menu values
-with and without relax, threshold assignments and separator refinements at
+with and without relax, threshold assignments, `simulate`'s hull pick of
+every type on the `commit-nr` menu and extra points (the lifted program of
+`playback.optimizer_best_response_policy`) and separator refinements at
 k = 3. Each is solved both ways, and each later stage also by scipy's HiGHS
 on the same program: the constraints plus the face rows at the stage values
 found before it.
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 
 from conftest import random_game
-from menuopt import approachability, lp, maximin, menus, nr_commitment
+from menuopt import approachability, lp, maximin, menus, nr_commitment, playback
 from menuopt.core import BimatrixGame
 from menuopt.errors import NumericalFailure
 
@@ -64,10 +66,16 @@ def record_programs(calls):
     return seen
 
 
+def commit_nr_and_hull_picks(game):
+    res = nr_commitment.optimal_no_regret_commitment(game)
+    for i in range(game.k):
+        playback.optimizer_best_response_policy(res.nsr_menu, res.extra_points, game.u_O(i), game.u_L, game)
+
+
 def solver_calls(game, rng):
     V = float(rng.uniform(np.min(game.u_L), np.max(game.u_L)))
     calls = [
-        lambda: nr_commitment.optimal_no_regret_commitment(game),
+        lambda: commit_nr_and_hull_picks(game),
         lambda: nr_commitment.nsr_baseline_value(game),
         lambda: menus.eval_menu_value(menus.no_regret_menu(game), game, 0.05),
         lambda: maximin.threshold_assignment(game, V),

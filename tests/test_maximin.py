@@ -126,7 +126,7 @@ def test_k1_epoch_solves_its_game_once(monkeypatch):
     # with k = 1 the hedge weights never move, so neither does the game
     game = random_game(np.random.default_rng([9000, 3, 3, 1]), 3, 3, 1)
     calls = counting(monkeypatch, "zero_sum_value")
-    run = run_maximin(game, 0.1, make_schedule_adversary(0), 300, seed=1)
+    run = run_maximin(game, 0.1, make_schedule_adversary(), 300, seed=1)
     assert run.abort_count >= 1
     assert 1 <= len(calls) <= len(run.epochs)
 
@@ -315,6 +315,12 @@ def test_run_maximin_menus_nest_across_epochs(g1):
         prev = c
 
 
+def schedule_of_type(i):
+    """The schedule adversary, handed type i's assigned profile as type 0's."""
+    schedule = make_schedule_adversary()
+    return lambda game, assignment: schedule(game, CspAssignment((assignment[i],)))
+
+
 def test_run_maximin_bestresponse_per_type_cap():
     # the forcing dynamics cap each type's average at its threshold plus
     # the constraint-regret allowance; reaching the threshold from below
@@ -324,7 +330,7 @@ def test_run_maximin_bestresponse_per_type_cap():
     for trial in range(3):
         game = random_game(rng, 2, 2, 2)
         for i in range(game.k):
-            run = run_maximin(game, 0.05, make_schedule_adversary(i), T, seed=trial)
+            run = run_maximin(game, 0.05, schedule_of_type(i), T, seed=trial)
             final = run.epochs[-1].assignment
             c_i = bilinear_value(game.u_O(i), final[i])
             bound = 4 * game.p_max * np.sqrt(np.log(game.k) / T)
@@ -344,7 +350,7 @@ def test_schedule_adversary_follows_the_wrapped_schedule(g1):
         p = int(np.argmax(w * t - counts))
         ref.append(p)
         counts[p] += 1.0
-    policy = make_schedule_adversary(0)(g1, assign)
+    policy = make_schedule_adversary()(g1, assign)
     rng = np.random.default_rng(0)
     for r in range(100_600):
         y = policy(rng)

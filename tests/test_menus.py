@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_csp, random_game
+from menuopt import lp
 from menuopt.core import BimatrixGame, Csp, CspAssignment, bilinear_value
+from menuopt.errors import EmptyMenu
 from menuopt.menus import (
     HalfspaceMenu,
     candidate_menu,
@@ -13,6 +15,7 @@ from menuopt.menus import (
     no_swap_regret_check,
     no_swap_regret_menu,
     response_satisfiable_at,
+    type_picks,
 )
 from menuopt.stackelberg import type_leader_values
 
@@ -259,3 +262,22 @@ def test_utility_set_thresholds(g1):
 
     assert menu_violation(worth(2.5), menu) == 0.0
     assert menu_violation(worth(2.6), menu) > 0.0
+
+
+def test_type_picks_raises_empty_menu_when_no_point_meets_the_rows():
+    rows = [lp.simplex_row(2), (np.ones(2), lp.LE, 0.5)]
+    with pytest.raises(EmptyMenu):
+        type_picks(rows, [np.array([1.0, 0.0])], np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("relax", [0.0, 0.2, 0.5])
+def test_type_picks_gives_the_learner_its_best_point_near_the_type_top(relax):
+    # Type 0 tops out at 1 on e0; among points with x0 + x1/2 >= 1 - relax -
+    # TIE_SLACK the learner's best puts all the slack on x2. Type 1 tops out
+    # at e2, where the learner gets 1 as well.
+    types = [np.array([1.0, 0.5, 0.0]), np.array([0.0, 0.0, 1.0])]
+    first, second = type_picks([lp.simplex_row(3)], types, np.array([0.0, 0.0, 1.0]), relax)
+    slack = relax + lp.TIE_SLACK
+    assert first.point == pytest.approx([1.0 - slack, 0.0, slack], abs=1e-12)
+    assert first.objective_value == pytest.approx(slack, abs=1e-12)
+    assert second.point == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)

@@ -100,7 +100,7 @@ def test_schedule_adversary_wraps_at_round_100000():
     game = random_game(np.random.default_rng(12), 2, 3, 1)
     w = np.random.default_rng(13).dirichlet(np.ones(6))
     ref = reference_schedule(w, 100_000)
-    policy = make_schedule_adversary(0)(game, CspAssignment((Csp(w),)))
+    policy = make_schedule_adversary()(game, CspAssignment((Csp(w),)))
     rng = np.random.default_rng(0)
     R = 100_000 + 1_500
     ys = np.array([policy(rng) for _ in range(R)])
