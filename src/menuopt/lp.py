@@ -11,9 +11,10 @@ slack basis, with an artificial only on the rows whose slack cannot be
 basic, and finds a basic feasible point; phase 2 maximizes an objective
 from the current basis, and `add_ge_row` appends a row that the current
 point meets, so a later objective starts from the last optimum (a warm
-start) instead of from scratch.  Every optimal solve is certified
-against its recovered dual before it is returned; a solve that cannot
-be certified raises instead of returning a wrong status.
+start) instead of from scratch; several objective lists share one phase
+1, each on its own `fork` of the feasible tableau.  Every optimal solve
+is certified against its recovered dual before it is returned; a solve
+that cannot be certified raises instead of returning a wrong status.
 
 Orientation conventions: `LinearProgram.objective` is always maximized,
 variables are x >= 0 unless `bounds` says otherwise (scipy's `linprog`
@@ -23,10 +24,11 @@ Three helpers give every solver module the same vocabulary.
 `simplex_row` builds the row sum(x[lo:hi]) = 1; with the default domain
 it makes x[lo:hi] a probability vector, and `normalized` turns a solved
 point back into one.  `solve_lexicographic` maximizes a list of
-objectives in turn, each over the optimal face of the ones before, on
-one tableau.  The package's tie rule, an opponent type taking its
-favourite point and the learner's best one chosen among points within
-relax + TIE_SLACK of it, is `menus.type_picks`, two stages of it.
+objectives in turn, each over the optimal face of the ones before, and
+`solve_lexicographic_each` several such lists.  The package's tie rule,
+an opponent type taking its favourite point and the learner's best one
+chosen among points within relax + TIE_SLACK of it, is
+`menus.type_picks`, two stages of it.
 
 `zero_sum_values` values a stack of small zero-sum games without a
 simplex per game.  An optimal mix of each player is a vertex fixed by a
@@ -41,6 +43,7 @@ and x of one m x 2 game, and `minmax_2_by_cols` those of one 2 x n game.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -123,7 +126,7 @@ def normalized(x: np.ndarray) -> np.ndarray:
 
 def _scale(*arrays: np.ndarray) -> float:
     """max(1, largest |entry|): the unit of every feasibility tolerance."""
-    return max([1.0] + [float(np.max(np.abs(a))) for a in arrays if a.size])
+    return max([1.0] + [float(np.abs(a).max()) for a in arrays if a.size])
 
 
 def _materialize_rows(lp: LinearProgram):
@@ -156,7 +159,7 @@ def _materialize_rows(lp: LinearProgram):
                     rhs.append(float(bound))
     A = np.array(rows, dtype=float) if rows else np.zeros((0, d))
     b = np.array(rhs, dtype=float)
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
         raise InvalidInput("objective, constraint rows, and rhs must all be finite")
     return c, A, rels, b, free
 
@@ -239,6 +242,14 @@ class _Tableau:
             basis[i] = ncols + k
         self.T, self.basis, self.scratch = T, basis, np.empty_like(T)
 
+    def fork(self) -> "_Tableau":
+        """A copy with its own `T`, `basis`, `rels` and `scratch`, which phase 2
+        and `add_ge_row` write into; the arrays they replace are shared."""
+        twin = copy.copy(self)
+        twin.T, twin.basis, twin.rels = self.T.copy(), list(self.basis), list(self.rels)
+        twin.scratch = np.empty_like(twin.T)
+        return twin
+
     def _std(self, c: np.ndarray) -> np.ndarray:
         """c on the standard-form columns: -c on each w, 0 on slacks and surpluses."""
         d = c.size
@@ -311,7 +322,7 @@ class _Tableau:
                     basis[i] = int(piv_cols[0])
                 else:
                     self.keep[i] = False
-        if not np.all(self.keep):
+        if not self.keep.all():
             self.T = T[np.append(self.keep, True)]
             self.scratch = np.empty_like(self.T)
             self.basis = [j for j, kept in zip(basis, self.keep) if kept]
@@ -400,26 +411,39 @@ def solve_lexicographic(
     from that basis; it is certified against the constraints and every
     face row so far. Returns the solutions of the stages run: the list ends
     after the first stage that is not optimal, so the last entry is optimal
-    exactly when every stage was.
+    exactly when every stage was. It is `solve_lexicographic_each` of one list.
     """
+    return solve_lexicographic_each([objectives], constraints, relax)[0]
+
+
+def solve_lexicographic_each(
+    objective_lists: Sequence[Sequence[np.ndarray]], constraints: Sequence[Row], relax: float = 0.0
+) -> List[List[LpSolution]]:
+    """`solve_lexicographic` of each list, one phase 1 for all: each list runs on
+    its own fork, from the basis, and to the bits, of a call of its own."""
     if not (np.isfinite(relax) and relax >= 0.0):
         raise InvalidInput("relax must be finite and >= 0")
-    objectives = [np.asarray(obj, dtype=float) for obj in objectives]
-    if not objectives:
-        return []
-    c, A0, rels, b0, free = _materialize_rows(LinearProgram(objectives[0], constraints))
-    if any(obj.shape != c.shape or not np.all(np.isfinite(obj)) for obj in objectives):
+    lists = [[np.asarray(obj, dtype=float) for obj in objectives] for objectives in objective_lists]
+    if not any(lists):
+        return [[] for _ in lists]
+    c, A0, rels, b0, free = _materialize_rows(LinearProgram(next(filter(None, lists))[0], constraints))
+    if any(obj.shape != c.shape or not np.isfinite(obj).all() for objs in lists for obj in objs):
         raise InvalidInput("objectives must be finite vectors of one length")
-    tableau = _Tableau(A0, rels, b0, free)
-    if not tableau.phase1():
-        return [LpSolution(INFEASIBLE, None, float("nan"))]
-    stages = [tableau.maximize(c)]
-    for prev, obj in zip(objectives, objectives[1:]):
-        if not stages[-1].is_optimal:
-            break
-        tableau.add_ge_row(prev, stages[-1].objective_value - relax - TIE_SLACK)
-        stages.append(tableau.maximize(obj))
-    return stages
+    base = _Tableau(A0, rels, b0, free)
+    if not base.phase1():
+        return [[LpSolution(INFEASIBLE, None, float("nan"))] if objs else [] for objs in lists]
+    results = []
+    for i, objectives in enumerate(lists):
+        # Forks are taken before the base is used, so the last list may have it.
+        tableau = base if i == len(lists) - 1 else base.fork()
+        stages = [tableau.maximize(objectives[0])] if objectives else []
+        for prev, obj in zip(objectives, objectives[1:]):
+            if not stages[-1].is_optimal:
+                break
+            tableau.add_ge_row(prev, stages[-1].objective_value - relax - TIE_SLACK)
+            stages.append(tableau.maximize(obj))
+        results.append(stages)
+    return results
 
 
 def _certify(x, value, dual, A0, rels, b0, c, free):
@@ -435,7 +459,7 @@ def _certify(x, value, dual, A0, rels, b0, c, free):
         )
         if not ok:
             raise NumericalFailure(f"primal constraint {i} violated by {resid:.3e}")
-    if np.any(x[~free] < -_FEAS_TOL * scale):
+    if (x[~free] < -_FEAS_TOL * scale).any():
         raise NumericalFailure(f"variable x >= 0 is {float(np.min(x[~free])):.3e}")
     # Maximization duals: <= rows carry y >= 0, >= rows y <= 0, = rows free.
     for i, rel in enumerate(rels):
@@ -445,7 +469,7 @@ def _certify(x, value, dual, A0, rels, b0, c, free):
             raise NumericalFailure("dual sign violated on a >= row")
     # Reduced costs vanish on free variables and are <= 0 on x >= 0 ones.
     red = c - A0.T @ dual
-    if np.any(red > _DUAL_TOL * scale) or np.any(red[free] < -_DUAL_TOL * scale):
+    if (red > _DUAL_TOL * scale).any() or (red[free] < -_DUAL_TOL * scale).any():
         raise NumericalFailure("dual infeasibility: reduced costs have the wrong sign")
     gap = abs(float(dual @ b0) - value)
     if gap > _DUAL_TOL * scale:

@@ -161,13 +161,13 @@ def type_picks(
     learner_objective: np.ndarray,
     relax: float = 0.0,
 ) -> List[lp.LpSolution]:
-    """Per type objective, the last stage of `lp.solve_lexicographic([type,
-    learner], constraints, relax)`: the type's favourite point, tie broken
-    for the learner among points within relax + TIE_SLACK of its top.
+    """Per type objective, the last stage of its list [type, learner] in one
+    `lp.solve_lexicographic_each(lists, constraints, relax)`: the type's favourite
+    point, tie broken for the learner among points within relax + TIE_SLACK of its top.
     """
     picks = []
-    for obj in type_objectives:
-        stages = lp.solve_lexicographic([obj, learner_objective], constraints, relax)
+    lists = [[obj, learner_objective] for obj in type_objectives]
+    for stages in lp.solve_lexicographic_each(lists, constraints, relax):
         # Phase 1 ignores the objective, so a failed first stage means no point.
         if not stages[0].is_optimal:
             raise EmptyMenu("no point meets the menu's constraints")

@@ -1,9 +1,9 @@
 """Stackelberg equilibria of normal-form games via best-response-region LPs.
 
-One LP per follower pure action: maximize the leader's payoff over leader
-mixes for which that action is a (weak) follower best response, then keep
-the best follower action.  Weak inequalities implement tie-breaking in
-the leader's favor.
+One phase 1 per follower column, shared by every opponent type: each type
+maximizes its payoff over the leader mixes for which that column is a
+(weak) follower best response, then keeps its best column.  Weak
+inequalities implement tie-breaking in the leader's favor.
 """
 
 from __future__ import annotations
@@ -37,29 +37,26 @@ def stackelberg_leader(
     column index.  Columns that are never a best response yield an
     infeasible subproblem and are skipped.
     """
-    A = np.asarray(leader_payoff, dtype=float)
+    return _leaders([leader_payoff], follower_payoff)[0]
+
+
+def _leaders(leader_payoffs: List[np.ndarray], follower_payoff: np.ndarray) -> List[StackelbergResult]:
+    """`stackelberg_leader` of each leader payoff, one phase 1 per follower column."""
+    As = [np.asarray(A, dtype=float) for A in leader_payoffs]
     B = np.asarray(follower_payoff, dtype=float)
-    if A.shape != B.shape or A.ndim != 2:
+    if B.ndim != 2 or any(A.shape != B.shape for A in As):
         raise InvalidInput("leader and follower payoffs must share an a-by-b shape")
-    a, b = A.shape
-    best: Optional[Tuple[float, int, np.ndarray]] = None
+    a, b = B.shape
+    best: List[Optional[Tuple[float, int, np.ndarray]]] = [None] * len(As)
     for f in range(b):
-        cons = [lp.simplex_row(a)]
-        for g in range(b):
-            if g == f:
-                continue
-            cons.append((B[:, g] - B[:, f], lp.LE, 0.0))
-        sol = lp.solve_lp(lp.LinearProgram(A[:, f], cons))
-        if not sol.is_optimal:
-            continue  # f is strictly dominated for the follower
-        if best is None or sol.objective_value > best[0] + _TIE_TOL:
-            best = (sol.objective_value, f, lp.normalized(sol.point))
-    if best is None:
+        cons = [lp.simplex_row(a)] + [(B[:, g] - B[:, f], lp.LE, 0.0) for g in range(b) if g != f]
+        for i, (sol,) in enumerate(lp.solve_lexicographic_each([[A[:, f]] for A in As], cons)):
+            # An infeasible region means f is strictly dominated for the follower.
+            if sol.is_optimal and (best[i] is None or sol.objective_value > best[i][0] + _TIE_TOL):
+                best[i] = (sol.objective_value, f, lp.normalized(sol.point))
+    if None in best:
         raise InvalidInput("no follower action admits a best-response region")
-    value, f, x = best
-    e_f = np.zeros(b)
-    e_f[f] = 1.0
-    return StackelbergResult(value, x, f, Csp.outer(x, e_f))
+    return [StackelbergResult(value, x, f, Csp.outer(x, np.eye(b)[f])) for value, f, x in best]
 
 
 def type_leader_values(game: BimatrixGame) -> Tuple[np.ndarray, List[Csp]]:
@@ -69,12 +66,7 @@ def type_leader_values(game: BimatrixGame) -> Tuple[np.ndarray, List[Csp]]:
     csps[i] is the induced profile re-expressed in standard (learner row,
     opponent column) indexing.
     """
-    values = np.zeros(game.k)
-    csps: List[Csp] = []
-    for i in range(game.k):
-        res = stackelberg_leader(game.u_O(i).T, game.u_L.T)
-        values[i] = res.value
-        # Leader rows were opponent actions; transpose back to standard order.
-        mat = res.csp.weights.reshape(game.n, game.m).T
-        csps.append(Csp(mat.ravel()))
-    return values, csps
+    results = _leaders([game.u_O(i).T for i in range(game.k)], game.u_L.T)
+    # Leader rows were opponent actions; transpose back to standard order.
+    csps = [Csp(res.csp.weights.reshape(game.n, game.m).T.ravel()) for res in results]
+    return np.array([res.value for res in results]), csps

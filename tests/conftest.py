@@ -35,6 +35,20 @@ def random_game(rng: np.random.Generator, m: int, n: int, k: int) -> BimatrixGam
     return BimatrixGame(u_L, types)
 
 
+def scaled(game: BimatrixGame, s: float) -> BimatrixGame:
+    """game with every payoff multiplied by s."""
+    return BimatrixGame(game.u_L * s, tuple((u * s, alpha) for u, alpha in game.types))
+
+
+def same_bits(a, b) -> bool:
+    """Two `LpSolution`s with the same status, and byte for byte the same
+    value, point and dual."""
+    arrays = [(x.point, x.dual) if x.point is not None else () for x in (a, b)]
+    return (a.status == b.status
+            and np.float64(a.objective_value).tobytes() == np.float64(b.objective_value).tobytes()
+            and [v.tobytes() for v in arrays[0]] == [v.tobytes() for v in arrays[1]])
+
+
 def random_csp(rng: np.random.Generator, mn: int):
     from menuopt.core import Csp
 

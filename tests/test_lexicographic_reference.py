@@ -2,12 +2,17 @@
 
 `lp.solve_lexicographic` solves stage 1 as `solve_lp` does, then appends
 each face row obj . x >= value - relax - TIE_SLACK to its tableau and runs
-phase 2 from the last optimum. `cold_stages` is the loop it replaced, kept
-here as the reference: one `solve_lp` per stage on the constraints and the
-face rows so far. The programs are the ones the solvers hand to
-`solve_lexicographic` on seeded games: `commit-nr` programs, menu values
-with and without relax, threshold assignments, `simulate`'s hull pick of
-every type on the `commit-nr` menu and extra points (the lifted program of
+phase 2 from the last optimum. `lp.solve_lexicographic_each` does so for
+several objective lists on forks of one phase 1; `solve_lexicographic` is
+its one-list case. `cold_stages` is the loop they replaced, kept here as
+the reference: one `solve_lp` per stage on the constraints and the face
+rows so far. The programs are the objective lists the solvers hand to
+`solve_lexicographic_each`, directly or through `solve_lexicographic`, on
+seeded games, each list recorded as its own program: `commit-nr` programs
+and the Stackelberg leader LPs they start from (one single-stage list per
+type and follower column), menu values with and without relax, threshold
+assignments, `simulate`'s hull pick of every type on the `commit-nr` menu
+and extra points (the lifted program of
 `playback.optimizer_best_response_policy`) and separator refinements at
 k = 3. Each is solved both ways, and each later stage also by scipy's HiGHS
 on the same program: the constraints plus the face rows at the stage values
@@ -22,9 +27,8 @@ sides and objective, the unit of the kernel's own tolerances.
 import numpy as np
 import pytest
 
-from conftest import random_game
+from conftest import random_game, same_bits, scaled
 from menuopt import approachability, lp, maximin, menus, nr_commitment, playback
-from menuopt.core import BimatrixGame
 from menuopt.errors import NumericalFailure
 
 scipy_opt = pytest.importorskip("scipy.optimize")
@@ -46,21 +50,20 @@ def cold_stages(objectives, constraints, relax=0.0):
     return stages
 
 
-def scaled(game, s):
-    return BimatrixGame(game.u_L * s, tuple((u * s, alpha) for u, alpha in game.types))
-
-
 def record_programs(calls):
-    """(objectives, constraints, relax) of every call that `calls` makes."""
+    """(objectives, constraints, relax) of every objective list that `calls` solve."""
     seen = []
-    warm = lp.solve_lexicographic
+    warm = lp.solve_lexicographic_each
 
-    def spy(objectives, constraints, relax=0.0):
-        seen.append(([np.array(o, dtype=float) for o in objectives], list(constraints), relax))
-        return warm(objectives, constraints, relax)
+    def spy(objective_lists, constraints, relax=0.0):
+        objective_lists = list(objective_lists)
+        for objs in objective_lists:
+            seen.append(([np.array(o, dtype=float) for o in objs], list(constraints), relax))
+        return warm(objective_lists, constraints, relax)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "solve_lexicographic", spy)
+        # `solve_lexicographic` calls the helper by its module name, so this records it too
+        mp.setattr(lp, "solve_lexicographic_each", spy)
         for call in calls:
             call()
     return seen
@@ -113,14 +116,6 @@ def highs_max(obj, constraints):
         bounds=(0, None), method="highs", options=_HIGHS,
     )
     return -res.fun if res.status == 0 else None
-
-
-def same_bits(a, b):
-    """Same status, and byte for byte the same value, point and dual."""
-    arrays = [(x.point, x.dual) if x.point is not None else () for x in (a, b)]
-    return (a.status == b.status
-            and np.float64(a.objective_value).tobytes() == np.float64(b.objective_value).tobytes()
-            and [v.tobytes() for v in arrays[0]] == [v.tobytes() for v in arrays[1]])
 
 
 def check_against_references(objectives, constraints, relax, highs=True):
@@ -195,7 +190,8 @@ def test_negative_surplus_is_set_to_zero():
         return add(tableau, row, rhs)
 
     game = scaled(random_game(np.random.default_rng([50, 3, 2, 1]), 3, 2, 1), 1e8)
-    (prog,) = record_programs([lambda: nr_commitment.optimal_no_regret_commitment(game)])
+    # the last program is the commitment's; the leader LPs come before it
+    prog = record_programs([lambda: nr_commitment.optimal_no_regret_commitment(game)])[-1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp._Tableau, "add_ge_row", spy)
         # HiGHS's absolute tolerances cannot be met at this scale

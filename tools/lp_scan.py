@@ -12,11 +12,14 @@ s < 40 for 5x5 and 6x6 at k = 3.
 
 Prints the number of programs that failed, each failure message with its
 count and programs, and the pivots taken in phase 1 and in phase 2
-(counted by wrapping `lp._pivot`). `--save FILE` writes each program's
-value or failure message as JSON; `--compare FILE` reads such a file from
-another run and prints the largest |delta value| over the programs both
-runs solve, and the programs that only one of them solves. `--limit N`
-runs the first N programs only.
+(counted by wrapping `lp._pivot`) beside the number of phase-1 runs and
+phase-2 solves that took them. `--save FILE` writes each program's value
+and its per-type `stackelberg_values` (as `float.hex`), or its failure
+message, as JSON; `--compare FILE` reads such a file from another run and
+prints the largest |delta value| over the programs both runs solve, how
+many of those programs have leader values that differ in any bit, and the
+programs that only one of them solves. `--limit N` runs the first N
+programs only.
 """
 
 from __future__ import annotations
@@ -58,10 +61,12 @@ def programs():
 
 
 class PivotCount:
-    """Counts `lp._pivot` calls by the `_Tableau` phase that makes them."""
+    """Counts `lp._pivot` calls by the `_Tableau` phase that makes them, and
+    the calls of each phase (`phase1` runs, `maximize` solves)."""
 
     def __init__(self):
         self.by_phase = Counter()
+        self.runs = Counter()
         self.phase = "outside a phase"
 
     def __enter__(self):
@@ -75,6 +80,7 @@ class PivotCount:
         def in_phase(name, method):
             def run(tableau, *args):
                 self.phase = name
+                self.runs[name] += 1
                 try:
                     return method(tableau, *args)
                 finally:
@@ -97,7 +103,9 @@ def scan(limit=None) -> dict:
     for m, n, k, s in programs()[:limit]:
         game = random_game(np.random.default_rng([1000 + s, m, n, k]), m, n, k)
         try:
-            results[f"{m},{n},{k},{s}"] = {"value": optimal_no_regret_commitment(game).value}
+            res = optimal_no_regret_commitment(game)
+            leader_values = [float(v).hex() for v in res.stackelberg_values]
+            results[f"{m},{n},{k},{s}"] = {"value": res.value, "stackelberg_values": leader_values}
         except NumericalFailure as exc:
             results[f"{m},{n},{k},{s}"] = {"error": str(exc)}
     return results
@@ -108,6 +116,8 @@ def compare(results: dict, other: dict) -> None:
     deltas = [(abs(results[key]["value"] - other[key]["value"]), key) for key in both]
     worst = max(deltas, key=lambda delta: delta[0], default=(0.0, "-"))
     print(f"compared: {len(both)} programs solved by both, largest |delta value| {worst[0]:.3e} at [{worst[1]}]")
+    moved = [key for key in both if results[key]["stackelberg_values"] != other[key]["stackelberg_values"]]
+    print(f"leader values differ in some bit: {len(moved)}" + "".join(f" [{key}]" for key in moved))
     for label, mine, theirs in (("solved here only", results, other), ("solved there only", other, results)):
         keys = [key for key in results if key in other and "value" in mine[key] and "error" in theirs[key]]
         print(f"{label}: {len(keys)}" + "".join(f"\n  [{key}] {theirs[key]['error']}" for key in keys))
@@ -130,8 +140,9 @@ def main() -> None:
     print(f"programs: {len(results)}, failed: {sum(map(len, failures.values()))}, {seconds:.1f} s")
     for message, keys in sorted(failures.items(), key=lambda item: -len(item[1])):
         print(f"  {len(keys)} {message}: " + " ".join(f"[{key}]" for key in keys))
-    print("pivots: " + ", ".join(f"{phase} {count}" for phase, count in sorted(pivots.by_phase.items()))
-          + f", total {sum(pivots.by_phase.values())}")
+    by_phase, runs = pivots.by_phase, pivots.runs
+    print(f"pivots: phase 1 {by_phase['phase 1']} in {runs['phase 1']} runs, "
+          f"phase 2 {by_phase['phase 2']} in {runs['phase 2']} solves, total {sum(by_phase.values())}")
     if args.save is not None:
         args.save.write_text(json.dumps(results, indent=0) + "\n")
     if args.compare is not None:
