@@ -239,27 +239,111 @@ def csp_of_transcript(t: Transcript) -> Csp:
     return Csp(avg.ravel())
 
 
-def schedule_pairs(target: Csp) -> Iterator[int]:
-    """Endless pure-pair sequence whose running average tracks `target`.
+_FIRST_BLOCK = 64  # pairs in a schedule's first block
+_LAST_BLOCK = 2048  # later blocks double the pairs built so far, up to this many
+
+
+def schedule_blocks(target: Csp) -> Iterator[np.ndarray]:
+    """Endless pure-pair sequence whose running average tracks `target`, in
+    blocks of 64, 64, 128, ..., 2048, 2048, ... pairs.
 
     Online largest-remainder apportionment: at step t play the pair with
     the largest deficit w * t - count, lowest index on ties.  The running
     average stays within O(mn/t) of the target in L1.
 
+    A block of steps t0+1..t0+b is built from a guess G whose row s is the
+    static largest-remainder apportionment of t = t0+1+s seats
+    (`_apportion`).  Let P[s] be the counts before step t under the guess:
+    the true counts after t0 for s = 0, G[s-1] after.  Wherever the true
+    counts before a step equal P[s], A[s] = argmax(w * t - P[s]) is the
+    loop's pick: the same products w_i * t and differences, and np.argmax
+    takes the first maximum.  If P[s] + e_A[s] = G[s] as well, the true
+    counts before the next step are P[s+1], and so on.  At a step where
+    P[s] + e_A[s] != G[s], `_repair` plays the loop itself from the true
+    counts P[s] + e_A[s] until they equal a row of G, and A takes over from
+    there.  So the pairs are the loop's whatever the guess; the guess only
+    decides how many steps run in Python: none on most targets of support
+    1 or 2, and 35-55 % of them on dense targets of 36 entries.
+    """
+    w = target.weights
+    weights = w.tolist()
+    support = np.flatnonzero(w > 0)  # the guess gives no seat to any other pair
+    r = np.random.default_rng(0).integers(1, 1 << 20, size=w.size).astype(float)  # `_repair`'s key weights
+    r_list = r.tolist()
+    counts = np.zeros(w.size)  # the true counts after step t0
+    t0, b = 0, _FIRST_BLOCK
+    while True:
+        t = np.arange(t0 + 1, t0 + b + 1, dtype=float)
+        WT = t[:, None] * w
+        G = np.zeros_like(WT)
+        G[:, support] = _apportion(WT[:, support], t)
+        P = np.concatenate((counts[None], G[:-1]))
+        A = np.argmax(WT - P, axis=1)
+        P[np.arange(b), A] += 1.0  # now the counts after each step, from P's counts before it
+        counts = G[-1]
+        off = np.flatnonzero((P != G).any(axis=1))
+        if off.size:
+            pairs = A.tolist()
+            G_keys, P_keys = (G @ r).tolist(), (P @ r).tolist()
+            s = 0
+            for s0 in off.tolist():
+                if s0 >= s:
+                    s, c = _repair(weights, r_list, t0, G, G_keys, pairs, s0 + 1, P[s0].tolist(), P_keys[s0])
+            if s == b:  # the last repair ran to the end of the block
+                counts = np.array(c)
+            A = np.array(pairs)
+        yield A
+        t0 += b
+        b = min(t0, _LAST_BLOCK)
+
+
+def _apportion(WT: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Row s gives t[s] seats by largest remainders of WT[s]: floor(WT[s])
+    plus one seat for each of the t[s] - sum(floor(WT[s])) largest
+    remainders, the lowest index first among equal ones."""
+    G = np.floor(WT)
+    R = WT - G
+    left = t - G.sum(axis=1)
+    mn = WT.shape[1]
+    # the smallest remainder that wins a seat; none wins when no seat is left
+    cut = np.sort(R, axis=1)[np.arange(t.size), np.clip(mn - left, 0, mn - 1).astype(int)]
+    cut[left < 1] = 2.0
+    win = R > cut[:, None]
+    tie = R == cut[:, None]
+    short = left - win.sum(axis=1)  # the seats left for the remainders at the cut
+    split = np.flatnonzero(tie.sum(axis=1) > short)
+    win |= tie
+    if split.size:
+        win[split] &= np.cumsum(tie[split], axis=1) <= short[split, None]
+    return G + win
+
+
+def _repair(
+    w: list, r: list, t0: int, G: np.ndarray, G_keys: list, pairs: list, s: int, counts: list, key: float
+) -> Tuple[int, list]:
+    """The schedule loop itself, from step s of the block after t0, given
+    the true counts before it: writes each pick to pairs[s], until the
+    counts after a step equal that step's row of G or the block ends.
+    Returns the next step and the counts.
+
     The deficits are Python floats: each is the same IEEE product and
     difference that numpy's `w * t - counts` makes, and `index(max(...))`
-    takes the first maximum, as `np.argmax` does, at a fraction of the cost
-    on vectors of at most a few dozen entries.
+    takes the first maximum, as `np.argmax` does.
+
+    The counts are compared with a row of G only where their key, the
+    whole-number weighted sum counts @ r that starts as `key` and is kept
+    step by step, equals the row's, G_keys[s].  Both are exact below 2**53;
+    a key that rounds can only delay the return, never change a pick.
     """
-    w = target.weights.tolist()
-    counts = [0.0] * len(w)
-    t = 0
-    while True:
-        t += 1
+    for s, t in enumerate(range(t0 + s + 1, t0 + len(pairs) + 1), s):
         deficits = [wi * t - ci for wi, ci in zip(w, counts)]
         p = deficits.index(max(deficits))
         counts[p] += 1.0
-        yield p
+        pairs[s] = p
+        key += r[p]
+        if key == G_keys[s] and counts == G[s].tolist():
+            return s + 1, counts
+    return len(pairs), counts
 
 
 def assignment_value(game: BimatrixGame, phi_assign: CspAssignment) -> float:

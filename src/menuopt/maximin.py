@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import lp
 from .approachability import TesterNet, test_assignment_valid
 from .core import (BimatrixGame, Csp, CspAssignment, Transcript, bilinear_value,
-                   csp_of_transcript, schedule_pairs)
+                   csp_of_transcript, schedule_blocks)
 from .errors import EmptyMenu, InvalidInput, ThresholdInfeasible
 from .menus import candidate_menu, type_picks
 
@@ -209,9 +209,11 @@ def _one_hot(j: int, n: int) -> np.ndarray:
 def make_schedule_adversary() -> Adversary:
     """Plays the column track of a pure-pair schedule for type 0's assigned profile.
 
-    The schedule restarts every epoch and wraps after 100,000 rounds; its
-    pairs are generated only as far as the epoch has played. Each round
-    yields one of n shared read-only one-hot columns.
+    The schedule restarts every epoch and wraps after 100,000 rounds. Its
+    blocks are built only when the epoch reaches them, and a block holds at
+    most as many pairs as those before it, so after r rounds of an epoch at
+    most max(64, 2r) pairs are built. Each round yields one of n shared
+    read-only one-hot columns.
     """
 
     def adversary(game: BimatrixGame, assignment: CspAssignment) -> RoundPolicy:
@@ -219,8 +221,9 @@ def make_schedule_adversary() -> Adversary:
 
         def columns():
             while True:
-                for pair in islice(schedule_pairs(assignment[0]), _SCHEDULE_WRAP):
-                    yield pure[pair % game.n]
+                blocks = schedule_blocks(assignment[0])
+                for j in islice(chain.from_iterable((block % game.n).tolist() for block in blocks), _SCHEDULE_WRAP):
+                    yield pure[j]
 
         track = columns()
         return lambda rng: next(track)

@@ -4,7 +4,10 @@ A menu commitment is played out as: the opponent picks a target profile,
 both sides follow a published deterministic pure-pair schedule whose
 running average converges to the target, and if the opponent ever
 deviates from the schedule the learner switches permanently to halfspace
-forcing dynamics that keep the running average near the menu.
+forcing dynamics that keep the running average near the menu.  The
+schedule of T rounds is built before they are played, in numpy blocks
+that give the pairs of the per-step apportionment loop bit for bit
+(`core.schedule_blocks`).
 
 Published tracks.  After `reset`, a policy whose play is fixed in advance
 may publish it as an integer array over rounds 0..T-1: an opponent its
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,7 +52,7 @@ from .core import (
     Transcript,
     bilinear_value,
     csp_of_transcript,
-    schedule_pairs,
+    schedule_blocks,
 )
 from .errors import InvalidInput, InvalidTarget
 from .maximin import ForcingState
@@ -58,7 +60,8 @@ from .menus import HalfspaceMenu, menu_violation, type_picks
 
 
 def schedule_for(target: Csp, T: int) -> np.ndarray:
-    """The first T pairs of `schedule_pairs(target)` as a read-only array.
+    """The first T pairs of `schedule_blocks(target)` as a read-only array,
+    built block by block.
 
     The last schedule built is kept, so the learner and the opponent of
     one run, who follow the same target, share a single build.
@@ -70,7 +73,13 @@ def schedule_for(target: Csp, T: int) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _schedule(weights: bytes, T: int) -> np.ndarray:
-    pairs = np.fromiter(islice(schedule_pairs(Csp(np.frombuffer(weights))), T), dtype=int, count=T)
+    blocks, built = [], 0
+    for block in schedule_blocks(Csp(np.frombuffer(weights))):
+        blocks.append(block)
+        built += block.size
+        if built >= T:
+            break
+    pairs = np.concatenate(blocks)[:T]
     pairs.flags.writeable = False
     return pairs
 

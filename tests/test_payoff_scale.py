@@ -14,6 +14,9 @@ the simplex. The no-regret cases 232 at 1e6 and 333 at 1e-6 pass since
 optimum; solved from scratch, that stage hit a singular basis. 322 at
 1e-6 ("infeasible") and 333 at 1e6 ("singular basis") pass since phase 1
 starts from the slack basis and pivots enter by largest reduced cost.
+The no-regret case 232 at 1e-6 fails: stage 1 of the commitment program
+raises "dual sign violated on a <= row", while the same game solves
+unscaled and at 1e6.
 
 G(m, n, k) is `random_game(default_rng([7000, m, n, k]), m, n, k)`.
 """
@@ -60,6 +63,7 @@ def test_optimize_general_at_scale(g1, game, s):
     "shape,s",
     [
         pytest.param((3, 2, 2), 1e-6, id="322-1e-6"),
+        pytest.param((2, 3, 2), 1e-6, id="232-1e-6", marks=fails("dual sign violated on a <= row")),
         pytest.param((2, 3, 2), 1e6, id="232-1e6"),
         pytest.param((3, 3, 3), 1e-6, id="333-1e-6"),
         pytest.param((3, 3, 3), 1e6, id="333-1e6"),

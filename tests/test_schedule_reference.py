@@ -1,20 +1,26 @@
-"""`core.schedule_pairs` against a plain numpy copy of the apportionment loop.
+"""`core.schedule_blocks` against a plain numpy copy of the apportionment loop.
 
 Both sides of a published schedule, the learner's pair track and the
-opponent's column track, come from `schedule_pairs`, and so does the maximin
-schedule adversary. A change to the schedule therefore moves both sides of
-every run at once, and no test that calls the library on both sides sees it.
-This file pins the pair sequence to the reference loop below, pair for pair.
+opponent's column track, come from `schedule_blocks` through
+`playback.schedule_for`, and so does the maximin schedule adversary. A
+change to the schedule therefore moves both sides of every run at once, and
+no test that calls the library on both sides sees it. This file pins the
+pair sequence to the reference loop below, pair for pair: on every kind of
+target and dimension, at both sides of every block boundary, and over a
+sweep of 1,080 targets. It also checks, with a spy on `core._repair`, that
+the builder falls back on the loop for a dense target and never for a
+target of support 2, and, with a spy on the blocks the schedule adversary
+takes, that an epoch builds only about as many pairs as it plays.
 """
-
-from itertools import islice
 
 import numpy as np
 import pytest
 
 from conftest import random_game
-from menuopt.core import Csp, CspAssignment, schedule_pairs
-from menuopt.maximin import make_schedule_adversary
+from menuopt import core, maximin
+from menuopt.core import Csp, CspAssignment, schedule_blocks
+from menuopt.maximin import make_schedule_adversary, run_maximin
+from menuopt.playback import schedule_for
 
 DIMS = range(1, 37)  # m * n <= 36 on every game the package plays
 
@@ -31,8 +37,26 @@ def reference_schedule(weights: np.ndarray, T: int) -> np.ndarray:
     return out
 
 
+def reference_schedules(W: np.ndarray, T: int) -> np.ndarray:
+    """`reference_schedule` of each row of W at once: the same products,
+    differences and first argmax, row by row."""
+    counts = np.zeros(W.shape)
+    rows = np.arange(W.shape[0])
+    out = np.empty((W.shape[0], T), dtype=int)
+    for t in range(1, T + 1):
+        p = np.argmax(W * t - counts, axis=1)
+        counts[rows, p] += 1.0
+        out[:, t - 1] = p
+    return out
+
+
 def library_schedule(target: Csp, T: int) -> np.ndarray:
-    return np.fromiter(islice(schedule_pairs(target), T), dtype=int, count=T)
+    blocks, built = [], 0
+    for block in schedule_blocks(target):
+        blocks.append(block)
+        built += block.size
+        if built >= T:
+            return np.concatenate(blocks)[:T]
 
 
 def _dyadic(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -57,14 +81,23 @@ def _ties(rng: np.random.Generator, d: int) -> np.ndarray:
     return w
 
 
-def targets(d: int):
-    rng = np.random.default_rng([11, d])
+def targets(d: int, seed: int = 11):
+    rng = np.random.default_rng([seed, d])
     yield "uniform", np.full(d, 1.0 / d)
     yield "point", np.eye(d)[int(rng.integers(d))]
     yield "ties", _ties(rng, d)
     yield "dyadic", _dyadic(rng, d)
     yield "decimal", _decimal(rng, d)
     yield "random", rng.dirichlet(np.ones(d))
+
+
+def _at_tolerance(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    # what `Csp` still accepts: mass off 1 by up to 1e-9 and entries down to
+    # -1e-12, here as -1e-13 and -0.0 on zero entries
+    w = w * (1.0 + rng.choice([-4e-10, 4e-10]))
+    zeros = np.flatnonzero(w == 0.0)
+    w[zeros] = rng.choice([-1e-13, -0.0], size=zeros.size)
+    return w
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -93,6 +126,121 @@ def test_schedule_matches_reference_at_long_horizons(kind, d):
     T = 100_000
     w = dict(targets(d))[kind]
     assert np.array_equal(library_schedule(Csp(w), T), reference_schedule(w, T))
+
+
+def test_blocks_grow_from_the_first_to_the_last_size():
+    sizes = [block.size for _, block in zip(range(10), schedule_blocks(Csp.uniform(2, 3)))]
+    assert sizes == [64, 64, 128, 256, 512, 1024, 2048, 2048, 2048, 2048]
+    assert (sizes[0], max(sizes)) == (core._FIRST_BLOCK, core._LAST_BLOCK)
+
+
+@pytest.mark.parametrize("d", [2, 6, 9, 36])
+def test_schedule_for_at_both_sides_of_every_block_end(d):
+    # a block ends after 64, 128, ..., 2048 pairs, then every 2048
+    ends = [64 << i for i in range(6)] + [4096, 6144]
+    for kind, w in targets(d, seed=12):
+        ref = reference_schedule(w, ends[-1] + 1)
+        for end in ends:
+            for T in (end - 1, end, end + 1):
+                assert np.array_equal(schedule_for(Csp(w), T), ref[:T]), f"{kind} target, d={d}, T={T}"
+
+
+def test_schedule_sweep_against_the_reference():
+    # 1,080 targets: the six kinds of `targets` on every dimension and five
+    # seeds, every fifth one moved to the edge of the profile tolerance; the
+    # first seed runs to T = 100,000 at d = 36, the rest to the end of
+    # the 1,024-pair block, T = 2,048
+    rng = np.random.default_rng(14)
+    swept = 0
+    for d in DIMS:
+        W = np.array([w for seed in range(20, 25) for _, w in targets(d, seed)])
+        W[::5] = [_at_tolerance(w, rng) for w in W[::5]]
+        for rows, T in ((slice(0, 6), 100_000 if d == 36 else 2048), (slice(6, None), 2048)):
+            ref = reference_schedules(W[rows], T)
+            if T == 2048:
+                assert np.array_equal(ref[-1], reference_schedule(W[rows][-1], T))
+            for w, want in zip(W[rows], ref):
+                assert np.array_equal(library_schedule(Csp(w), T), want), f"d={d}, T={T}, w={w.tolist()}"
+                swept += 1
+    assert swept == 1080
+
+
+def _count_repairs(monkeypatch) -> list:
+    calls = []
+    repair = core._repair
+
+    def spy(*args):
+        calls.append(args)
+        return repair(*args)
+
+    monkeypatch.setattr(core, "_repair", spy)
+    return calls
+
+
+def test_dense_target_takes_the_repair_step(monkeypatch):
+    calls = _count_repairs(monkeypatch)
+    w = np.random.default_rng(15).dirichlet(np.ones(36))
+    assert np.array_equal(library_schedule(Csp(w), 30_000), reference_schedule(w, 30_000))
+    assert len(calls) > 100
+
+
+def test_support_two_target_never_takes_the_repair_step(monkeypatch):
+    calls = _count_repairs(monkeypatch)
+    rng = np.random.default_rng(16)
+    for d in (2, 6, 36):
+        for a in (rng.uniform(), 0.5, 0.35, 1 / 3):
+            w = np.zeros(d)
+            w[rng.choice(d, size=2, replace=False)] = [a, 1.0 - a]
+            assert np.array_equal(library_schedule(Csp(w), 20_000), reference_schedule(w, 20_000))
+    assert calls == []
+
+
+def _count_built(monkeypatch) -> list:
+    """Pairs built by each schedule the schedule adversary starts."""
+    built = []
+
+    def spy(target):
+        built.append(0)
+        i = len(built) - 1
+        for block in schedule_blocks(target):
+            built[i] += block.size
+            yield block
+
+    monkeypatch.setattr(maximin, "schedule_blocks", spy)
+    return built
+
+
+def test_schedule_adversary_builds_only_what_the_epoch_plays(monkeypatch):
+    built = _count_built(monkeypatch)
+    game = random_game(np.random.default_rng(17), 3, 3, 1)
+    w = np.random.default_rng(18).dirichlet(np.ones(9))
+    ref = reference_schedule(w, 20_000)
+    policy = make_schedule_adversary()(game, CspAssignment((Csp(w),)))
+    rng = np.random.default_rng(0)
+    assert built == []
+    for r in range(1, 20_001):
+        y = policy(rng)
+        assert y[ref[r - 1] % game.n] == 1.0
+        assert built[0] <= max(core._FIRST_BLOCK, 2 * r)
+    assert len(built) == 1
+
+
+def test_epochs_that_abort_early_build_at_most_the_first_block(monkeypatch):
+    built = _count_built(monkeypatch)
+    # on this game four epochs abort in their first round, before the
+    # adversary is told of them, and one in its second
+    game = random_game(np.random.default_rng(21), 3, 3, 2)
+    T = 3000
+    run = run_maximin(game, 0.05, make_schedule_adversary(), T)
+    starts = [e.start_round for e in run.epochs] + [T]
+    played = [b - a for a, b in zip(starts, starts[1:])]
+    assert played.count(0) == 4 and played.count(1) == 1
+    # every epoch that plays a round starts one schedule, in order
+    assert len(built) == sum(p > 0 for p in played)
+    for n_built, rounds in zip(built, [p for p in played if p > 0]):
+        assert n_built <= max(core._FIRST_BLOCK, 2 * rounds)
+        if rounds == 1:
+            assert n_built == core._FIRST_BLOCK
 
 
 def test_schedule_adversary_wraps_at_round_100000():

@@ -5,10 +5,12 @@
 Each sample is a fresh interpreter, with BLAS at one thread as the
 benchmark runs it, that imports menuopt from the checkout's `src/`, runs
 the command once untimed through `menuopt.cli.run` and then times it once
-in-process. Each of the ten pairs takes one sample of each checkout,
-alternating which goes first, so that slow drift of the host falls on
-both sides alike. Paths in the command are relative to the
-current directory, for both checkouts.
+in-process. Between the two it empties `playback._schedule`'s cache, so
+the timed run builds its schedule as the benchmark's runs do, instead of
+reading the one the untimed run left. Each of the ten pairs takes one
+sample of each checkout, alternating which goes first, so that slow drift
+of the host falls on both sides alike. Paths in the command are relative
+to the current directory, for both checkouts.
 
 Prints each side's median seconds, the median over pairs of the ratio
 B / A with its quartiles, the pairs in which B was faster, and whether
@@ -30,7 +32,7 @@ _PAIRS = 10
 _SAMPLE = r"""
 import contextlib, hashlib, io, json, sys, time
 sys.path.insert(0, sys.argv[1])
-from menuopt import cli
+from menuopt import cli, playback
 argv = sys.argv[2:]
 
 def once():
@@ -42,6 +44,7 @@ def once():
     return seconds, code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 _, code, digest = once()
+playback._schedule.cache_clear()
 seconds = once()[0]
 print(json.dumps({"seconds": seconds, "output": [code, digest]}))
 """
