@@ -271,39 +271,43 @@ class BlackwellRun:
 
 
 class _Rounds:
-    """The rounds played against one adversary, across forcing epochs."""
+    """The rounds played against one adversary, across forcing epochs, written
+    into arrays allocated once per run; `played` counts the rounds so far."""
 
-    def __init__(self, adversary: Adversary, seed: int):
+    def __init__(self, game: BimatrixGame, adversary: Adversary, seed: int, T: int):
         self.adversary = adversary
         self.rng = _RunGenerator(seed)
-        self.xs: List[np.ndarray] = []
-        self.ys: List[np.ndarray] = []
-        self.rewards: List[np.ndarray] = []
+        self.xs = np.empty((T, game.m))
+        self.ys = np.empty((T, game.n))
+        self.rewards = np.empty((T, game.k))
+        self.played = 0
 
-    def play_epoch(self, state: ForcingState, T: int) -> int:
-        """Plays on from the next round until the state aborts or round T.
+    def play_epoch(self, state: ForcingState) -> int:
+        """Plays on from the next round until the state aborts or the run ends.
 
         The adversary is told of the epoch at its first round that has an
         action. Returns the round it stopped at: T, or the round it aborted in.
         """
         act, observe, rng = state.act, state.observe, self.rng
-        keep_x, keep_y, keep_reward = self.xs.append, self.ys.append, self.rewards.append
+        xs, ys, rewards = self.xs, self.ys, self.rewards
         policy = None
-        for t in range(len(self.xs), T):
+        for t in range(self.played, len(xs)):
             x = act()
             if x is None:
+                self.played = t
                 return t
             if policy is None:
                 policy = self.adversary(state.game, state.assignment)
             y = policy(rng)
-            keep_x(x)
-            keep_y(y)
-            keep_reward(observe(x, y))
-        return T
+            xs[t] = x
+            ys[t] = y
+            rewards[t] = observe(x, y)
+        self.played = len(xs)
+        return self.played
 
-    def arrays(self, game: BimatrixGame) -> Tuple[Transcript, np.ndarray]:
-        transcript = Transcript(np.reshape(self.xs, (-1, game.m)), np.reshape(self.ys, (-1, game.n)))
-        return transcript, np.reshape(self.rewards, (-1, game.k))
+    def arrays(self) -> Tuple[Transcript, np.ndarray]:
+        t = self.played
+        return Transcript(self.xs[:t], self.ys[:t]), self.rewards[:t]
 
 
 def run_blackwell_abort(
@@ -317,9 +321,9 @@ def run_blackwell_abort(
     if T < 1:
         raise InvalidInput("horizon must be at least one round")
     state = ForcingState(game, assignment)
-    rounds = _Rounds(adversary, seed)
-    t = rounds.play_epoch(state, T)
-    transcript, rewards = rounds.arrays(game)
+    rounds = _Rounds(game, adversary, seed, T)
+    t = rounds.play_epoch(state)
+    transcript, rewards = rounds.arrays()
     if t == T:
         return BlackwellRun(transcript, rewards, aborted_at=None, certificate=None)
     return BlackwellRun(transcript, rewards, aborted_at=t, certificate=state.certificate())
@@ -355,14 +359,14 @@ def run_maximin(
         raise InvalidInput("horizon must be at least one round")
     if not (0 < eps < np.inf):
         raise InvalidInput("eps must be positive and finite")
-    rounds = _Rounds(adversary, seed)
+    rounds = _Rounds(game, adversary, seed, T)
     V = float(np.max(game.u_L))
     assignment = threshold_assignment(game, V)
     epochs: List[EpochRecord] = [EpochRecord(V, 0, assignment)]
     abort_count = 0
     floor = float(np.min(game.u_L))
     while True:
-        t = rounds.play_epoch(ForcingState(game, assignment), T)
+        t = rounds.play_epoch(ForcingState(game, assignment))
         if t == T:
             break
         abort_count += 1
@@ -373,7 +377,7 @@ def run_maximin(
             break
         assignment = threshold_assignment(game, max(V, floor))
         epochs.append(EpochRecord(V, t, assignment))
-    transcript, rewards = rounds.arrays(game)
+    transcript, rewards = rounds.arrays()
     if len(transcript):
         final = csp_of_transcript(transcript)
         per_type = np.array([bilinear_value(game.u_O(i), final) for i in range(game.k)])

@@ -18,13 +18,6 @@ round where the two columns differ.  Every round before d is known before
 it is played, and `simulate` writes rounds [0, d) in bulk:
 
 * the transcript rows are one-hot, written for all d rounds at once;
-* the running profile is a vector of pair counts, bumped by one per round
-  and divided by the round number; the counts are whole numbers held as
-  floats, so they are exact;
-* the menu is screened over the d rounds by one matrix product, within a
-  bound e of `HalfspaceMenu.violation` (`_replay_violation`), and only
-  the rounds within 2e of the screen's maximum are checked again with
-  that kernel, so every reported violation is a value it returned;
 * `on_round` still sees every round, in order;
 * neither policy acts or observes in those rounds.  The learner is told
   once to take on the state it would have after them
@@ -32,8 +25,16 @@ it is played, and `simulate` writes rounds [0, d) in bulk:
   state that its rounds would change.
 
 The round loop then goes on from round d.  A policy without a track
-(the default) makes d = 0, and every round is played one by one.  The
-report is the same, bit for bit, either way.
+(the default) makes d = 0, and every round is played one by one.
+
+The menu is checked once, on the finished transcript (`_menu_violations`).
+A running sum of the rounds' outer products gives each round's profile
+bit for bit as a per-round loop would keep it, the menu is screened over
+all rounds by one matrix product per chunk, within a bound e of
+`HalfspaceMenu.violation`, and only the rounds within 2e of the screen's
+maximum are checked again with that kernel, so every reported violation
+is a value it returned.  The report is the same, bit for bit, whether a
+round was replayed or played.
 """
 
 from __future__ import annotations
@@ -332,38 +333,41 @@ def optimizer_best_response_policy(
     return chosen, SchedulePolicy(chosen), picked
 
 
-_REPLAY_CHUNK = 1 << 16  # rounds screened per matrix product
+_CHECK_CHUNK = 1 << 16  # rounds screened per matrix product
 
 
-def _replay_violation(menu: HalfspaceMenu, pairs: np.ndarray) -> float:
-    """The per-round loop's largest `menu.violation` over the replayed
-    rounds `pairs`, with that kernel called only where it may be reached.
+def _menu_violations(menu: HalfspaceMenu, xs: np.ndarray, ys: np.ndarray) -> Tuple[float, float]:
+    """The largest and the last `menu.violation` of the running profile over
+    the rounds of `xs, ys`, with that kernel called only where it may be reached.
 
-    The screen b_t = max_c(N_c . w_t - rhs_c) runs on w_t = C_t / (t + 1),
-    C_t the pair counts, bit for bit the loop's profile.  It and the
-    kernel's v_t order one length-mn dot product apart, so |v_t - b_t| <=
-    e = 2 gamma_{mn+2} (max|N| (1 + mn u) + max|rhs|), gamma_k = k u /
+    The screen b_t = max_c(N_c . w_t - rhs_c) runs on w_t = max(S_t / (t + 1),
+    0), S_t the running sum of the outer products x_s (x) y_s, s <= t, added
+    in round order from 0.0, so w_t is bit for bit the profile a per-round
+    loop keeps.  The screen and the kernel's v_t order one length-mn dot
+    product apart, so |v_t - b_t| <= e = 2 gamma_{mn+2} (max|N| L (1 + mn u)
+    + max|rhs|), L the chunk's largest computed ||w_t||_1, gamma_k = k u /
     (1 - k u), u = 2^-53, with FMA or without; the largest v_t lies on a
     round with b_t >= max(b) - 2e.  Each distinct w_t there is checked once.
     """
     if menu.n_constraints == 0:
-        return 0.0
-    mn, u = menu.dim, 2.0**-53
+        return 0.0, 0.0
+    T, mn, u = len(xs), menu.dim, 2.0**-53
     gamma = (mn + 2) * u / (1 - (mn + 2) * u)
-    e = 2 * gamma * (np.abs(menu.normals).max() * (1 + mn * u) + np.abs(menu.rhs).max())
-    best, counts = 0.0, np.zeros(mn)
-    for start in range(0, pairs.size, _REPLAY_CHUNK):
-        chunk = pairs[start : start + _REPLAY_CHUNK]
-        C = np.zeros((chunk.size, mn))
-        C[np.arange(chunk.size), chunk] = 1.0
-        C[0] += counts
-        np.cumsum(C, axis=0, out=C)
-        counts = C[-1].copy()
-        W = C / np.arange(start + 1, start + chunk.size + 1)[:, None]
-        b = (W @ menu.normals.T - menu.rhs).max(axis=1)
+    scale = np.abs(menu.normals).max() * (1 + mn * u)
+    best, total = 0.0, np.zeros(mn)
+    for start in range(0, T, _CHECK_CHUNK):
+        stop = min(start + _CHECK_CHUNK, T)
+        W = np.einsum("ti,tj->tij", xs[start:stop], ys[start:stop]).reshape(stop - start, mn)
+        W[0] += total
+        np.cumsum(W, axis=0, out=W)
+        total = W[-1].copy()
+        W /= np.arange(start + 1, stop + 1)[:, None]
+        np.maximum(W, 0.0, out=W)
+        e = 2 * gamma * (scale * (W @ np.ones(mn)).max() + np.abs(menu.rhs).max())
+        b = (menu.normals @ W.T - menu.rhs[:, None]).max(axis=0)
         near = {W[t].tobytes(): t for t in np.flatnonzero(b >= b.max() - 2 * e).tolist()}
         best = max([best, *(menu.violation(W[t].copy()) for t in near.values())])
-    return best
+    return best, menu.violation(W[-1].copy())
 
 
 @dataclass(frozen=True)
@@ -391,8 +395,9 @@ def simulate(
 
     The rounds before the first one where the opponent leaves the
     learner's published track are replayed in bulk (module docstring).
-    Their menu check is batched, and only near-maximal rounds are checked
-    again with `menu.violation` (`_replay_violation`).
+    The menu is checked after the last round, on the transcript, and only
+    near-maximal rounds are checked with `menu.violation`
+    (`_menu_violations`).
     """
     if T < 1:
         raise InvalidInput("horizon must be positive")
@@ -403,9 +408,6 @@ def simulate(
     m, n = game.m, game.n
     xs = np.zeros((T, m))
     ys = np.zeros((T, n))
-    avg = np.zeros(m * n)
-    max_viol = 0.0
-    viol = 0.0
     pairs, columns = learner.track(), opponent.track()
     d = 0
     if pairs is not None and columns is not None:
@@ -418,10 +420,6 @@ def simulate(
         if on_round is not None:
             for t in range(d):
                 on_round(t, xs[t], ys[t])
-        avg = np.bincount(pairs, minlength=m * n).astype(float)
-        if menu is not None:
-            max_viol = _replay_violation(menu, pairs)
-            viol = menu.violation(np.maximum(avg / d, 0.0))
         learner.fast_forward(d)
     for t in range(d, T):
         x = learner.act(t)
@@ -434,10 +432,7 @@ def simulate(
         opponent.observe(t, x, y)
         if on_round is not None:
             on_round(t, x, y)
-        avg += np.outer(x, y).ravel()
-        if menu is not None:
-            viol = menu.violation(np.maximum(avg / (t + 1), 0.0))
-            max_viol = max(max_viol, viol)
+    max_viol, viol = (0.0, 0.0) if menu is None else _menu_violations(menu, xs, ys)
     transcript = Transcript(xs, ys)
     final = csp_of_transcript(transcript)
     per_type = np.array([bilinear_value(game.u_O(i), final) for i in range(game.k)])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,28 +81,50 @@ def test_step_never_aborts_on_argmax_assignment():
             state.observe(x, y)
 
 
+def _below_cap_assignment(game):
+    """A k = 1 assignment 0.05 below the type's min-max value, which forcing
+    cannot hold; None when the payoffs span less than 0.1 below that value."""
+    cap, _, _ = lp.zero_sum_value(game.u_O(0))
+    lo = float(np.min(game.u_O(0)))
+    if cap - lo < 0.1:
+        return None
+    u = game.u_O(0).ravel()
+    lam = ((cap - 0.05) - lo) / (float(np.max(u)) - lo)
+    w = np.zeros(u.size)
+    w[int(np.argmax(u))] = lam
+    w[int(np.argmin(u))] = 1.0 - lam
+    return CspAssignment((Csp(w),))
+
+
 def test_step_aborts_below_cap_immediately():
     rng = np.random.default_rng(83)
     found = 0
     for _ in range(20):
         game = random_game(rng, 2, 2, 1)
-        cap, _, _ = lp.zero_sum_value(game.u_O(0))
-        lo = float(np.min(game.u_O(0)))
-        if cap - lo < 0.1:
+        assign = _below_cap_assignment(game)
+        if assign is None:
             continue
         found += 1
-        u = game.u_O(0).ravel()
-        lam = ((cap - 0.05) - lo) / (float(np.max(u)) - lo)
-        w = np.zeros(4)
-        w[int(np.argmax(u))] = lam
-        w[int(np.argmin(u))] = 1.0 - lam
-        assign = CspAssignment((Csp(w),))
         state = ForcingState(game, assign)
         assert state.act() is None
         # the abort certificate refutes response satisfiability outright
         menu = candidate_menu(assign, 0.0, game)
         assert response_satisfiable_at(menu, state.certificate(), game) is None
     assert found >= 8
+
+
+def test_run_aborted_in_its_first_round_has_an_empty_record():
+    rng = np.random.default_rng(84)
+    assign = None
+    while assign is None:
+        game = random_game(rng, 2, 3, 1)
+        assign = _below_cap_assignment(game)
+    run = run_blackwell_abort(game, assign, random_adversary, 100)
+    assert run.aborted_at == 0
+    assert run.transcript.xs.shape == (0, 2)
+    assert run.transcript.ys.shape == (0, 3)
+    assert run.rewards.shape == (0, 1)
+    assert response_satisfiable_at(candidate_menu(assign, 0.0, game), run.certificate, game) is None
 
 
 def test_step_plays_on_g1_level5_assignment(g1):
@@ -251,6 +275,23 @@ def test_run_blackwell_regret_and_no_aborts():
         )
         assert np.all(cum.max(axis=1) <= bound + 1e-9)
     assert done >= 3
+
+
+def test_run_maximin_record_stays_within_three_times_its_bytes():
+    # x, y and the rewards go into arrays allocated once per run; one small
+    # array kept per round would take several times these bytes
+    game = random_game(np.random.default_rng(1), 2, 2, 2)
+    adversary = make_aborter_adversary()
+    run_maximin(game, 0.05, adversary, 10)  # builds the tester net that later runs share
+    T = 30_000
+    tracemalloc.start()
+    try:
+        run = run_maximin(game, 0.05, adversary, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.abort_count > 0 and len(run.transcript) == T
+    assert peak < 3 * T * (game.m + game.n + game.k) * 8
 
 
 def test_run_maximin_constant_learner_payoff():

@@ -7,11 +7,13 @@ for field, the same `on_round` calls, and leave the learner in the same
 state, whether the opponent follows the published schedule to the end,
 leaves it at some round, never joins it, or the learner publishes no track.
 
-The replayed rounds' menu check is batched and checks only near-maximal
-rounds again with the kernel, so the menus below include faces on which
-every replayed round is checked again, a kernel that rounds apart from the
-batched screen, a maximum late in the run, replays cut into chunks of 7
-rounds, and a sweep of 108 games.
+The menu check runs once over the finished transcript, replayed and
+played rounds alike, and checks only near-maximal rounds again with the
+kernel, so the menus below include faces on which every round is checked
+again, a kernel that rounds apart from the batched screen, a maximum late
+in the run, runs with no round replayed, a mix whose -1e-13 entry the
+check must clip, transcripts cut into chunks of 7 rounds, and a sweep of
+108 games.
 """
 
 import math
@@ -273,18 +275,39 @@ def _replay_menus(game, chosen):
     }
 
 
-@pytest.mark.parametrize("chunk", [7, playback._REPLAY_CHUNK], ids=["chunk7", "chunk-default"])
-@pytest.mark.parametrize(
-    "menu", ["face", "jittered face", "jittered raised face", "face+no-regret", "slack", "unconstrained"]
-)
-@pytest.mark.parametrize("d", [T // 2, T])
+REPLAY_MENUS = ["face", "jittered face", "jittered raised face", "face+no-regret", "slack", "unconstrained"]
+
+
+@pytest.mark.parametrize("chunk", [7, playback._CHECK_CHUNK], ids=["chunk7", "chunk-default"])
+@pytest.mark.parametrize("menu", REPLAY_MENUS)
+@pytest.mark.parametrize("d", [0, T // 2, T])
 def test_replay_menu_check(played, monkeypatch, chunk, menu, d):
+    # at d = 0 the opponent publishes no track, so no round is replayed and
+    # the learner forces from round 0 on float-summed profiles
     game, learner, chosen, index = played
-    monkeypatch.setattr(playback, "_REPLAY_CHUNK", chunk)
+    monkeypatch.setattr(playback, "_CHECK_CHUNK", chunk)
+    opponent = TracklessLeavesSchedule if d == 0 else LeavesSchedule
     got, ref = run_both(
-        game, learner, lambda: LeavesSchedule(chosen, d), T,
+        game, learner, lambda: opponent(chosen, d), T,
         chosen_target=index, menu=_replay_menus(game, chosen)[menu],
     )
+    assert _bits(got.avg) == _bits(ref.avg)
+
+
+@pytest.mark.parametrize("chunk", [7, playback._CHECK_CHUNK], ids=["chunk7", "chunk-default"])
+@pytest.mark.parametrize("menu", REPLAY_MENUS)
+def test_menu_check_clips_negative_profile_entries(played, monkeypatch, chunk, menu):
+    # a mix with a -1e-13 entry leaves entries of the running profile below
+    # 0, which the check clips to 0 before the kernel, as the loop does
+    game, learner, chosen, index = played
+    mix = np.eye(game.n)[0]
+    mix[1] = -1e-13
+    monkeypatch.setattr(playback, "_CHECK_CHUNK", chunk)
+    got, ref = run_both(
+        game, learner, lambda: FixedMixPolicy(mix), T,
+        chosen_target=index, menu=_replay_menus(game, chosen)[menu],
+    )
+    assert (got.avg < 0).any()
     assert _bits(got.avg) == _bits(ref.avg)
 
 
@@ -324,7 +347,7 @@ class TrackOpponent(OpponentPolicy):
         return self.columns
 
 
-@pytest.mark.parametrize("chunk", [7, playback._REPLAY_CHUNK], ids=["chunk7", "chunk-default"])
+@pytest.mark.parametrize("chunk", [7, playback._CHECK_CHUNK], ids=["chunk7", "chunk-default"])
 def test_replay_maximum_reached_late(g1, monkeypatch, chunk):
     # pair 1 is played ever more often, so w_t[1] - 0.3 peaks late in the run
     rng = np.random.default_rng(9400)
@@ -333,7 +356,7 @@ def test_replay_maximum_reached_late(g1, monkeypatch, chunk):
     menu = HalfspaceMenu(np.eye(6)[[1, 0]], [0.3, 0.9])
     counts = np.cumsum(np.eye(6)[pairs], axis=0) / np.arange(1, T + 1)[:, None]
     assert np.argmax(counts[:, 1]) > T // 2
-    monkeypatch.setattr(playback, "_REPLAY_CHUNK", chunk)
+    monkeypatch.setattr(playback, "_CHECK_CHUNK", chunk)
     run_both(g1, lambda: TrackLearner(pairs), lambda: TrackOpponent(pairs), T, menu=menu)
 
 

@@ -12,9 +12,12 @@ sample of each checkout, alternating which goes first, so that slow drift
 of the host falls on both sides alike. Paths in the command are relative
 to the current directory, for both checkouts.
 
-Prints each side's median seconds, the median over pairs of the ratio
-B / A with its quartiles, the pairs in which B was faster, and whether
-both sides printed the same exit code and stdout.
+Prints each side's median seconds and the median peak RSS (`ru_maxrss`)
+of its sample interpreters, the median over pairs of the ratio B / A with
+its quartiles, the pairs in which B was faster, and whether both sides
+printed the same exit code and stdout.  The peak RSS covers the whole
+sample, import and both runs, so a memory effect of the command can be
+paired without a benchmark run's own growth.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from pathlib import Path
 _PAIRS = 10
 
 _SAMPLE = r"""
-import contextlib, hashlib, io, json, sys, time
+import contextlib, hashlib, io, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 from menuopt import cli, playback
 argv = sys.argv[2:]
@@ -46,7 +49,8 @@ def once():
 _, code, digest = once()
 playback._schedule.cache_clear()
 seconds = once()[0]
-print(json.dumps({"seconds": seconds, "output": [code, digest]}))
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"seconds": seconds, "rss_mb": rss_mb, "output": [code, digest]}))
 """
 
 
@@ -64,18 +68,20 @@ def main() -> None:
     parser.add_argument("argv", nargs="+", help="the CLI command, after --")
     args = parser.parse_args()
     sides = (args.checkout_a.resolve(), args.checkout_b.resolve())
-    times = ([], [])
+    times, rss = ([], []), ([], [])
     outputs = set()
     for pair in range(_PAIRS):
         order = (0, 1) if pair % 2 == 0 else (1, 0)
         for side in order:
             got = sample(sides[side], args.argv)
             times[side].append(got["seconds"])
+            rss[side].append(got["rss_mb"])
             outputs.add(tuple(got["output"]))
     ratios = [b / a for a, b in zip(*times)]
     q1, q2, q3 = statistics.quantiles(ratios, n=4)
-    print(f"A {sides[0]}: median {statistics.median(times[0]):.6f} s")
-    print(f"B {sides[1]}: median {statistics.median(times[1]):.6f} s")
+    for name, side in (("A", 0), ("B", 1)):
+        print(f"{name} {sides[side]}: median {statistics.median(times[side]):.6f} s, "
+              f"peak RSS {statistics.median(rss[side]):.2f} MB")
     print(f"B / A: median {q2:.4f}, quartiles {q1:.4f}-{q3:.4f}, B faster in {sum(r < 1 for r in ratios)}/{len(ratios)} pairs")
     print("stdout and exit code: " + ("the same in every sample" if len(outputs) == 1 else "DIFFER"))
 
