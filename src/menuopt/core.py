@@ -204,16 +204,17 @@ class CspAssignment:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Time-indexed mixed-action pairs; xs has shape (T, m), ys (T, n)."""
+    """Time-indexed mixed-action pairs, xs (T, m) and ys (T, n), taken without a copy and made read-only."""
 
     xs: np.ndarray
     ys: np.ndarray
 
     def __post_init__(self):
-        xs = _freeze(self.xs)
-        ys = _freeze(self.ys)
+        xs = np.asarray(self.xs, dtype=float)
+        ys = np.asarray(self.ys, dtype=float)
         if xs.ndim != 2 or ys.ndim != 2 or xs.shape[0] != ys.shape[0]:
             raise InvalidInput("xs and ys must be (T, m) and (T, n) with equal T")
+        xs.flags.writeable = ys.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 

@@ -5,9 +5,9 @@ both sides follow a published deterministic pure-pair schedule whose
 running average converges to the target, and if the opponent ever
 deviates from the schedule the learner switches permanently to halfspace
 forcing dynamics that keep the running average near the menu.  The
-schedule of T rounds is built before they are played, in numpy blocks
-that give the pairs of the per-step apportionment loop bit for bit
-(`core.schedule_blocks`).
+schedule of T rounds is built once per run, in numpy blocks that give
+the pairs of the per-step apportionment loop bit for bit
+(`core.schedule_blocks`), and kept by its target, not by the module.
 
 Published tracks.  After `reset`, a policy whose play is fixed in advance
 may publish it as an integer array over rounds 0..T-1: an opponent its
@@ -40,7 +40,6 @@ round was replayed or played.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,24 +63,23 @@ def schedule_for(target: Csp, T: int) -> np.ndarray:
     """The first T pairs of `schedule_blocks(target)` as a read-only array,
     built block by block.
 
-    The last schedule built is kept, so the learner and the opponent of
-    one run, who follow the same target, share a single build.
+    The target keeps the last schedule built from it, so the learner and
+    the opponent of one run, who follow the same target, share a single
+    build; no schedule outlives its target.
     """
     if T < 1:
         raise InvalidInput("schedule horizon must be positive")
-    return _schedule(target.weights.tobytes(), T)
-
-
-@lru_cache(maxsize=1)
-def _schedule(weights: bytes, T: int) -> np.ndarray:
-    blocks, built = [], 0
-    for block in schedule_blocks(Csp(np.frombuffer(weights))):
-        blocks.append(block)
-        built += block.size
-        if built >= T:
-            break
-    pairs = np.concatenate(blocks)[:T]
-    pairs.flags.writeable = False
+    pairs = vars(target).get("_schedule")
+    if pairs is None or pairs.size != T:
+        blocks, built = [], 0
+        for block in schedule_blocks(target):
+            blocks.append(block)
+            built += block.size
+            if built >= T:
+                break
+        pairs = np.concatenate(blocks)[:T]
+        pairs.flags.writeable = False
+        vars(target)["_schedule"] = pairs
     return pairs
 
 

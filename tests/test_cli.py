@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import G1_NR_VALUE, random_game
-from menuopt import cli
+from menuopt import cli, playback
 from menuopt.core import Csp, CspAssignment
 from menuopt.errors import NumericalFailure
 
@@ -219,6 +219,26 @@ def test_simulate_smoke_and_stream(capsys, g1_path):
     assert set(first) == {"t", "x", "y"}
     final = json.loads(lines[-1])
     assert final["result"]["learner_avg"] > 3.0
+
+
+@pytest.mark.parametrize("game", ["g1", "g332", "g7000-232"])
+def test_simulate_builds_its_schedule_once_per_command(capsys, monkeypatch, g1_path, game):
+    # the learner and the opponent share one build of the chosen target's
+    # schedule, and a repeat of the command builds it again
+    path = g1_path if game == "g1" else str(Path(__file__).parent / "golden" / f"{game}.json")
+    builds = []
+    build = playback.schedule_blocks
+
+    def spy(target):
+        builds.append(target)
+        return build(target)
+
+    monkeypatch.setattr(playback, "schedule_blocks", spy)
+    for _ in range(2):
+        builds.clear()
+        code, _ = run_cli(capsys, "simulate", "--game", path, "--learner", "commit-nr", "--T", "8000")
+        assert code == 0
+        assert len(builds) == 1
 
 
 def test_malformed_game_exits_2(capsys, tmp_path):

@@ -88,6 +88,27 @@ def test_csp_permutation_invariance():
     assert np.allclose(w1, w2, atol=1e-12)
 
 
+def test_transcript_keeps_float_arrays_and_makes_them_read_only():
+    xs = np.full((4, 3), 1.0 / 3.0)
+    ys = np.full((4, 2), 0.5)
+    t = Transcript(xs, ys)
+    assert np.shares_memory(t.xs, xs) and np.shares_memory(t.ys, ys)
+    with pytest.raises(ValueError):
+        xs[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        t.ys[0, 0] = 1.0
+
+
+def test_transcript_converts_lists_and_int_arrays():
+    ys = np.array([[0, 1], [1, 0]])
+    t = Transcript([[1, 0, 0], [0, 0, 1]], ys)
+    assert t.xs.dtype == t.ys.dtype == np.float64
+    assert not t.xs.flags.writeable and not t.ys.flags.writeable
+    ys[0, 0] = 5  # the caller's int array stays its own
+    assert t.ys.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert np.array_equal(csp_of_transcript(t).weights, [0.0, 0.5, 0.0, 0.0, 0.5, 0.0])
+
+
 def test_assignment_value_g1(g1):
     phi = Csp.mix([(0.5, Csp.point_mass(2, 0, 3, 2)), (0.5, Csp.point_mass(0, 1, 3, 2))])
     assert assignment_value(g1, CspAssignment((phi,))) == pytest.approx(5.0)

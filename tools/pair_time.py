@@ -5,12 +5,14 @@
 Each sample is a fresh interpreter, with BLAS at one thread as the
 benchmark runs it, that imports menuopt from the checkout's `src/`, runs
 the command once untimed through `menuopt.cli.run` and then times it once
-in-process. Between the two it empties `playback._schedule`'s cache, so
-the timed run builds its schedule as the benchmark's runs do, instead of
-reading the one the untimed run left. Each of the ten pairs takes one
-sample of each checkout, alternating which goes first, so that slow drift
-of the host falls on both sides alike. Paths in the command are relative
-to the current directory, for both checkouts.
+in-process. Each run builds its own schedule, as the benchmark's runs
+do; a checkout older than the per-target schedule still keeps one in a
+module-level cache (`playback._schedule`), which is emptied between the
+two runs so that the timed run does not read the untimed run's build.
+Each of the ten pairs takes one sample of each checkout, alternating
+which goes first, so that slow drift of the host falls on both sides
+alike. Paths in the command are relative to the current directory, for
+both checkouts.
 
 Prints each side's median seconds and the median peak RSS (`ru_maxrss`)
 of its sample interpreters, the median over pairs of the ratio B / A with
@@ -47,7 +49,9 @@ def once():
     return seconds, code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 _, code, digest = once()
-playback._schedule.cache_clear()
+cached = getattr(playback, "_schedule", None)
+if cached is not None:
+    cached.cache_clear()
 seconds = once()[0]
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"seconds": seconds, "rss_mb": rss_mb, "output": [code, digest]}))
