@@ -312,11 +312,3 @@ def water_fill_repair(
         w[top] += moved
         repaired.append(Csp(w))
     return CspAssignment(tuple(repaired))
-
-
-def min_positive_gap(u: np.ndarray) -> float:
-    """Smallest gap between distinct entries of u; 1.0 if all entries tie."""
-    vals = np.unique(np.asarray(u, dtype=float).ravel())
-    if vals.size < 2:
-        return 1.0
-    return float(np.min(np.diff(vals)))

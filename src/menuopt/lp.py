@@ -476,14 +476,6 @@ def _certify(x, value, dual, A0, rels, b0, c, free):
         raise NumericalFailure(f"duality gap {gap:.3e} exceeds tolerance")
 
 
-def duality_gap(lp: LinearProgram, sol: LpSolution) -> float:
-    """|primal - dual| objective gap of a certified optimal solution."""
-    if not sol.is_optimal:
-        raise InvalidInput("duality gap is defined for optimal solutions only")
-    b = _materialize_rows(lp)[3]
-    return abs(float(sol.dual @ b) - sol.objective_value)
-
-
 def zero_sum_value(M: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
     """Value and optimal strategies of the zero-sum game with matrix M.
 

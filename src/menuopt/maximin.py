@@ -28,6 +28,8 @@ from .menus import candidate_menu, type_picks
 _SLACK = 2 * lp.TIE_SLACK
 _SCHEDULE_WRAP = 100_000  # rounds after which the schedule adversary starts over
 _DRAW_BLOCK = 4096  # Dirichlet mixes the random adversary draws at once
+_BLOCK = 256  # rounds an epoch keeps in Python lists before it writes them into the run's arrays
+_PYTHON_REWARD_MAX = 4  # the reward runs on Python floats at k >= 2 and m, n, k <= this
 
 
 def hedge_weights(cumulative: np.ndarray, t: int, p_max: float) -> np.ndarray:
@@ -36,17 +38,25 @@ def hedge_weights(cumulative: np.ndarray, t: int, p_max: float) -> np.ndarray:
     k = cumulative.size
     if k == 1 or t == 0 or p_max == 0:
         return np.full(k, 1.0 / k)
-    return _hedge(cumulative, t, float(np.log(k)), 2.0 * p_max)
+    return _hedge(cumulative.tolist(), t, float(np.log(k)), 2.0 * p_max)
 
 
-def _hedge(cumulative: np.ndarray, t: int, log_k: float, two_p_max: float) -> np.ndarray:
-    # hedge_weights past its uniform cases, given ln k and 2 p_max; math.sqrt
-    # rounds correctly as np.sqrt does, and in-place ufuncs give the same bits
-    w = np.multiply(cumulative, math.sqrt(log_k / t) / two_p_max)
-    w -= np.maximum.reduce(w)
-    np.exp(w, out=w)
-    w /= np.add.reduce(w)
-    return w
+def _hedge(cumulative: List[float], t: int, log_k: float, two_p_max: float) -> np.ndarray:
+    # hedge_weights past its uniform cases, given ln k and 2 p_max, on Python
+    # floats but for np.exp and the division: math.sqrt rounds correctly as
+    # np.sqrt does, and numpy adds fewer than 8 floats in sequence
+    eta = math.sqrt(log_k / t) / two_p_max
+    w = [v * eta for v in cumulative]
+    top = max(w)
+    e = np.exp([v - top for v in w])
+    if len(w) < 8:
+        total = 0.0
+        for v in e.tolist():
+            total += v
+    else:
+        total = np.add.reduce(e)
+    e /= total
+    return e
 
 
 class ForcingState:
@@ -68,14 +78,22 @@ class ForcingState:
     moves, so one solve serves the whole epoch. The x it returns is
     read-only, because the same array may serve many rounds.
 
-    While act() keeps its x, observe(x, y) stores the reward of each float64
-    y by y's bytes and returns the stored array when the same bytes come
-    again: equal inputs give the same einsum bits. The store is used only
-    when x is the kept array itself, is emptied when act() solves again,
-    holds at most n + 1 rewards (the n pure columns of a schedule and one
-    certificate), so fresh random mixes cannot grow it, and its arrays are
-    read-only. observe() leaves p as it is where `hedge_weights` would
-    return the uniform start (k = 1 or p_max = 0).
+    observe(x, y) feeds the rewards u_{O,i}(x, y) - c_i. They run on Python
+    floats, in the order in which `np.einsum("i,kij,j->k")` sums, where a
+    test pins that order (k >= 2 and m, n, k <= 4); elsewhere the einsum
+    computes them. While x is kept, the rewards of the opponent mixes seen
+    since the solve are kept too, by y's bytes, up to n + 1 of them (the n
+    pure columns of a schedule and one certificate), so fresh random mixes
+    cannot grow the memo; a new solve empties it. observe() leaves p as it
+    is where `hedge_weights` would return the uniform start (k = 1 or
+    p_max = 0).
+
+    play(rounds) plays a whole epoch through the same solve, reward and hedge
+    helpers, on Python floats and lists: numpy computes only Ω, p @ c on a
+    new solve, the hedge step's exp and division, and the simplex at
+    m, n >= 3. Its rows reach the run's arrays in blocks of at most _BLOCK
+    rounds, and p, cumulative and t are written back when the epoch stops,
+    so that act(), observe() and certificate() go on from there.
     """
 
     def __init__(self, game: BimatrixGame, assignment: CspAssignment):
@@ -88,61 +106,134 @@ class ForcingState:
         self._flat = game.opponent_payoffs.reshape(game.k, -1)
         self._shape = (game.m, game.n)
         if game.n == 2:
-            self._solve = lp.minmax_rows_by_2
+            self._minmax = lp.minmax_rows_by_2
         elif game.m == 2:
-            self._solve = lp.minmax_2_by_cols
+            self._minmax = lp.minmax_2_by_cols
         else:
             zero_sum_value = lp.zero_sum_value
-            self._solve = lambda omega: zero_sum_value(omega)[:2]
+            self._minmax = lambda omega: zero_sum_value(omega)[:2]
         # ln k and 2 p_max for _hedge, or None where hedge_weights stays uniform
         self._hedge_args = (float(np.log(game.k)), 2.0 * game.p_max) if game.k > 1 and game.p_max else None
-        self._kept = (b"", None)  # p's bytes at the last solve, and act()'s answer
-        self._stored: Optional[Dict[bytes, np.ndarray]] = None  # opened once x is kept
+        # each type's payoffs in row-major order, where the reward runs on Python floats
+        python_reward = game.k >= 2 and max(game.m, game.n, game.k) <= _PYTHON_REWARD_MAX
+        self._payoffs = game.opponent_payoffs.reshape(game.k, -1).tolist() if python_reward else None
+        self._c = self.c.tolist()
+        self._kept = (b"", None)  # p's bytes at the last solve, and its answer
+        self._stored: Optional[Dict[bytes, List[float]]] = None  # opened once x is kept
         self._store_cap = game.n + 1
 
-    def _omega(self) -> np.ndarray:
-        # tensordot's own (1, k) x (k, m n) product: p @ flat may take another BLAS kernel
-        return np.dot(self.p.reshape(1, -1), self._flat).reshape(self._shape)
+    def _omega(self, p: np.ndarray) -> np.ndarray:
+        # tensordot's own (1, k) x (k, m n) product, np.dot's kernel without its
+        # dispatch: p @ flat may take another BLAS kernel
+        return p.reshape(1, -1).dot(self._flat).reshape(self._shape)
 
-    def act(self) -> Optional[np.ndarray]:
-        """The round's action x, or None when only aborting remains."""
-        key = self.p.tobytes()
+    def _answer(self, p: np.ndarray) -> Optional[Tuple[np.ndarray, List[float]]]:
+        """The round's x at weights p, read-only and as a list, or None when
+        only aborting remains; solved again only when p's bytes change."""
+        key = p.tobytes()
         if key != self._kept[0]:
-            val, x = self._solve(self._omega())
-            x.flags.writeable = False
-            self._kept = (key, x if val <= float(self.p @ self.c) + _SLACK else None)
+            val, x = self._minmax(self._omega(p))
+            answer = None
+            if val <= float(p.dot(self.c)) + _SLACK:  # the ddot of p @ c, without its dispatch
+                x.flags.writeable = False
+                answer = (x, x.tolist())
+            self._kept = (key, answer)
             self._stored = None
         elif self._stored is None:
             self._stored = {}
         return self._kept[1]
 
+    def act(self) -> Optional[np.ndarray]:
+        """The round's action x, or None when only aborting remains."""
+        answer = self._answer(self.p)
+        return None if answer is None else answer[0]
+
     def certificate(self) -> np.ndarray:
         """The opponent mix that refutes the menu at the current weights."""
-        return lp.zero_sum_value(self._omega())[2]
+        return lp.zero_sum_value(self._omega(self.p))[2]
 
-    def _reward(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        r = np.einsum("i,kij,j->k", x, self.game.opponent_payoffs, y)
-        r -= self.c
+    def _reward(self, x: List[float], y: List[float]) -> List[float]:
+        payoffs = self._payoffs
+        if payoffs is None:
+            return (np.einsum("i,kij,j->k", x, self.game.opponent_payoffs, y) - self.c).tolist()
+        # x_i and y_j beside each u_ij of a type's payoffs in row-major order,
+        # summed in that order as the einsum sums them
+        row_of = [x_i for x_i in x for _ in y]
+        col_of = y * len(x)
+        r = []
+        for u, c in zip(payoffs, self._c):
+            total = 0.0
+            for x_i, u_ij, y_j in zip(row_of, u, col_of):
+                total += x_i * u_ij * y_j
+            r.append(total - c)
+        return r
+
+    def _kept_reward(self, x: List[float], y: np.ndarray, y_list: List[float]) -> List[float]:
+        # _reward of the kept x, served from the memo where it holds y's bytes
+        stored = self._stored
+        if stored is None:
+            return self._reward(x, y_list)
+        key = y.tobytes()
+        r = stored.get(key)
+        if r is None:
+            r = self._reward(x, y_list)
+            if len(stored) < self._store_cap:
+                stored[key] = r
         return r
 
     def observe(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Feed the rewards u_{O,i}(x, y) - c_i; returns them."""
-        stored = self._stored
-        if stored is not None and x is self._kept[1] and type(y) is np.ndarray and y.dtype is lp._FLOAT:
-            key = y.tobytes()
-            r = stored.get(key)
-            if r is None:
-                r = self._reward(x, y)
-                if len(stored) < self._store_cap:
-                    r.flags.writeable = False
-                    stored[key] = r
+        answer = self._kept[1]
+        y = np.asarray(y, dtype=float)
+        if answer is not None and x is answer[0]:
+            r = self._kept_reward(answer[1], y, y.tolist())
         else:
-            r = self._reward(x, y)
-        self.cumulative += r
+            r = self._reward(np.asarray(x, dtype=float).tolist(), y.tolist())
+        cumulative = [a + b for a, b in zip(self.cumulative.tolist(), r)]
+        self.cumulative = np.array(cumulative)
         self.t += 1
         if self._hedge_args is not None:
-            self.p = _hedge(self.cumulative, self.t, *self._hedge_args)
-        return r
+            self.p = _hedge(cumulative, self.t, *self._hedge_args)
+        return np.array(r)
+
+    def play(self, rounds: _Rounds) -> int:
+        """Plays from round `rounds.played` until the state aborts or the run
+        ends; returns the round it stopped at: T, or the round it aborted in.
+
+        The adversary is told of the epoch at its first round that has an
+        action. Rows reach the run's arrays in blocks of at most _BLOCK rounds.
+        """
+        answer_at, kept_reward, hedge_args, rng = self._answer, self._kept_reward, self._hedge_args, rounds.rng
+        p, t, cumulative = self.p, self.t, self.cumulative.tolist()
+        xs: List[float] = []
+        ys: List[float] = []
+        rewards: List[float] = []
+        policy = None
+        block = 0
+        for _ in range(rounds.played, len(rounds.xs)):
+            answer = answer_at(p)
+            if answer is None:
+                break
+            if policy is None:
+                policy = rounds.adversary(self.game, self.assignment)
+            y = policy(rng)
+            y_list = y.tolist()
+            x = answer[1]
+            r = kept_reward(x, y, y_list)
+            xs += x
+            ys += y_list
+            rewards += r
+            cumulative = [a + b for a, b in zip(cumulative, r)]
+            t += 1
+            if hedge_args is not None:
+                p = _hedge(cumulative, t, *hedge_args)
+            block += 1
+            if block == _BLOCK:
+                rounds.write(block, xs, ys, rewards)
+                xs, ys, rewards, block = [], [], [], 0
+        rounds.write(block, xs, ys, rewards)
+        self.p, self.t, self.cumulative = p, t, np.array(cumulative)
+        return rounds.played
 
 
 def threshold_assignment(game: BimatrixGame, V: float) -> CspAssignment:
@@ -282,28 +373,12 @@ class _Rounds:
         self.rewards = np.empty((T, game.k))
         self.played = 0
 
-    def play_epoch(self, state: ForcingState) -> int:
-        """Plays on from the next round until the state aborts or the run ends.
-
-        The adversary is told of the epoch at its first round that has an
-        action. Returns the round it stopped at: T, or the round it aborted in.
-        """
-        act, observe, rng = state.act, state.observe, self.rng
-        xs, ys, rewards = self.xs, self.ys, self.rewards
-        policy = None
-        for t in range(self.played, len(xs)):
-            x = act()
-            if x is None:
-                self.played = t
-                return t
-            if policy is None:
-                policy = self.adversary(state.game, state.assignment)
-            y = policy(rng)
-            xs[t] = x
-            ys[t] = y
-            rewards[t] = observe(x, y)
-        self.played = len(xs)
-        return self.played
+    def write(self, rounds: int, xs: List[float], ys: List[float], rewards: List[float]) -> None:
+        """Records the next rounds, given as their x, y and reward rows laid end to end."""
+        start, self.played = self.played, self.played + rounds
+        for record, rows in ((self.xs, xs), (self.ys, ys), (self.rewards, rewards)):
+            width = record.shape[1]
+            record.reshape(-1)[start * width : self.played * width] = rows
 
     def arrays(self) -> Tuple[Transcript, np.ndarray]:
         t = self.played
@@ -322,7 +397,7 @@ def run_blackwell_abort(
         raise InvalidInput("horizon must be at least one round")
     state = ForcingState(game, assignment)
     rounds = _Rounds(game, adversary, seed, T)
-    t = rounds.play_epoch(state)
+    t = state.play(rounds)
     transcript, rewards = rounds.arrays()
     if t == T:
         return BlackwellRun(transcript, rewards, aborted_at=None, certificate=None)
@@ -366,7 +441,7 @@ def run_maximin(
     abort_count = 0
     floor = float(np.min(game.u_L))
     while True:
-        t = rounds.play_epoch(ForcingState(game, assignment))
+        t = ForcingState(game, assignment).play(rounds)
         if t == T:
             break
         abort_count += 1

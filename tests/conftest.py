@@ -3,7 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from menuopt import lp
 from menuopt.core import BimatrixGame
+from menuopt.errors import InvalidInput
 
 
 # 3x2 running example: learner rows A, B, C; opponent columns R, S.
@@ -82,3 +84,19 @@ def random_tester_instance(rng: np.random.Generator, m: int, n: int, k: int, sty
         base = random_csp(rng, m * n)
         assign = CspAssignment(tuple(base for _ in range(k)))
     return game, assign
+
+
+def duality_gap(prog: lp.LinearProgram, sol: lp.LpSolution) -> float:
+    """|primal - dual| objective gap of a certified optimal solution."""
+    if not sol.is_optimal:
+        raise InvalidInput("duality gap is defined for optimal solutions only")
+    b = lp._materialize_rows(prog)[3]
+    return abs(float(sol.dual @ b) - sol.objective_value)
+
+
+def min_positive_gap(u: np.ndarray) -> float:
+    """Smallest gap between distinct entries of u; 1.0 if all entries tie."""
+    vals = np.unique(np.asarray(u, dtype=float).ravel())
+    if vals.size < 2:
+        return 1.0
+    return float(np.min(np.diff(vals)))

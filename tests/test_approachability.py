@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_csp, random_game
+from conftest import min_positive_gap, random_csp, random_game
 from menuopt import lp
 from menuopt.approachability import (
     direction_net,
     halfspace_value,
-    min_positive_gap,
     separator_for_thresholds,
     simplex_lattice,
     test_assignment_valid,

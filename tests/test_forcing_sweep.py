@@ -9,7 +9,8 @@ every round. Transcripts, rewards, aborts, certificates, levels and
 averages must be exactly equal. 4 seeds x 27 shapes x 3 adversaries x 2
 kinds of run make 648 runs. At T = 32 a k = 1 epoch against the schedule
 or the aborter plays the same column again and again, so the library's
-side serves most of its rewards from the store (checked below).
+side serves most of its rewards from its memo of the kept x's rewards
+(checked below); the memo holds at most n + 1 of them, by y's bytes.
 """
 
 import numpy as np
@@ -122,31 +123,38 @@ def test_reward_store_stays_bounded_under_random_mixes(n):
     assert largest == n + 1
 
 
-def test_stored_rewards_are_read_only_and_served_by_bytes():
+def test_kept_rewards_are_served_by_the_bytes_of_y(monkeypatch):
     state = kept_state(3)
+    computed = []
+    reward = ForcingState._reward
+    monkeypatch.setattr(ForcingState, "_reward", lambda self, x, y: computed.append(1) or reward(self, x, y))
     y = np.array([0.0, 1.0, 0.0])
     x = state.act()
-    first = state.observe(x, y)  # the round of the solve: nothing stored yet
-    assert first.flags.writeable
+    first = state.observe(x, y)  # the round of the solve: nothing kept yet
     assert state.act() is x
-    stored = state.observe(x, y)
-    assert not stored.flags.writeable
-    with pytest.raises(ValueError):
-        stored[0] = 0.0
+    kept = state.observe(x, y)
+    assert len(computed) == 2 and len(state._stored) == 1
     assert state.act() is x
-    assert state.observe(x, y.copy()) is stored  # a new array with the same bytes
-    assert np.array_equal(stored, first)
+    served = state.observe(x, y.copy())  # a new array with the same bytes
+    assert len(computed) == 2
+    assert np.array_equal(kept, first)
+    assert np.array_equal(served, first)
 
 
-def test_an_x_other_than_the_kept_one_is_computed_afresh():
+def test_an_x_other_than_the_kept_one_is_computed_afresh(monkeypatch):
     state = kept_state(2)
+    computed = []
+    reward = ForcingState._reward
+    monkeypatch.setattr(ForcingState, "_reward", lambda self, x, y: computed.append(1) or reward(self, x, y))
     y = np.array([0.25, 0.75])
     x = state.act()
     state.observe(x, y)
     state.act()
     stored = state.observe(x, y)
+    assert len(computed) == 2
     state.act()
     fresh = state.observe(x.copy(), y)  # equal bytes, but not the kept array
+    assert len(computed) == 3
     assert fresh is not stored and fresh.flags.writeable
     assert np.array_equal(fresh, stored)
 

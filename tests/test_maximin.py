@@ -295,6 +295,24 @@ def test_run_maximin_peak_stays_within_one_and_a_half_times_its_record():
     assert peak < 1.5 * T * (game.m + game.n + game.k) * 8
 
 
+def test_run_blackwell_abort_peak_stays_within_one_and_a_half_times_its_record():
+    # the same bound for one forcing epoch that plays all T rounds: its rows
+    # reach the record in blocks of a few hundred rounds, never one list per epoch
+    game = random_game(np.random.default_rng(1), 2, 2, 2)
+    assignment = threshold_assignment(game, float(np.min(game.u_L)))  # favourite pairs: never aborts
+    adversary = make_aborter_adversary()
+    run_blackwell_abort(game, assignment, adversary, 10)  # builds the tester net that later runs share
+    T = 30_000
+    tracemalloc.start()
+    try:
+        run = run_blackwell_abort(game, assignment, adversary, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.aborted_at is None and len(run.transcript) == T
+    assert peak < 1.5 * T * (game.m + game.n + game.k) * 8
+
+
 def test_run_maximin_constant_learner_payoff():
     rng = np.random.default_rng(87)
     game = BimatrixGame(np.full((2, 2), 0.4), ((rng.uniform(-1, 1, (2, 2)), 1.0),))
