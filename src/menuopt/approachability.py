@@ -18,8 +18,9 @@ makes the check decidable up to an additive delta:
 
 The net values do not depend on the thresholds c, so a `TesterNet`
 evaluates them once for a (game, delta) and every verdict that a solver
-asks of that game and delta reuses it.  A net lives only as long as the
-call that built it; nothing is cached across calls.
+asks of that game and delta reuses it.  A net lives as long as its
+holder: a solver call, or a maximin aborter adversary, which keeps one
+net across every run on the same game; there is no module-level cache.
 
 A refutation becomes a cut by Blackwell's separation argument: the
 zero-sum game between type weights h and the learner under the refuting
@@ -137,7 +138,8 @@ class TesterNet:
     simplex per direction.  The certificate y of a refuting direction is
     solved by the simplex (`halfspace_value`) on first use and kept, so a
     solver that asks many verdicts of the same game solves each such game
-    once.  Build one per solver call.
+    once.  A net lives as long as its holder, a solver call or a maximin
+    aborter adversary (one net for all its runs on the same game).
     """
 
     game: BimatrixGame

@@ -619,8 +619,9 @@ def zero_sum_value_batch2(stack: np.ndarray) -> np.ndarray:
     return best
 
 
-def minmax_rows_by_2(M: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Single-game companion of `zero_sum_value_batch2`: value and argmin x.
+def minmax_rows_by_2(M: np.ndarray) -> Tuple[float, Tuple[float, ...]]:
+    """Single-game companion of `zero_sum_value_batch2`: value and argmin x,
+    x as a tuple of floats.
 
     The best pure row is the first row of least max; a two-row crossing
     replaces it only when lower by more than 1e-15, and a pair whose
@@ -655,11 +656,12 @@ def minmax_rows_by_2(M: np.ndarray) -> Tuple[float, np.ndarray]:
     else:
         i, j, t = pair
         x[i], x[j] = t, 1.0 - t
-    return best, np.array(x)
+    return best, tuple(x)
 
 
-def minmax_2_by_cols(M: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Two-row companion of `minmax_rows_by_2`: value and argmin x.
+def minmax_2_by_cols(M: np.ndarray) -> Tuple[float, Tuple[float, float]]:
+    """Two-row companion of `minmax_rows_by_2`: value and argmin x, a pair
+    of floats.
 
     With x = (t, 1 - t), f(t) = max_j (t M[0,j] + (1 - t) M[1,j]) is convex
     and piecewise linear, so its least value lies at a pure row or where two
@@ -690,4 +692,4 @@ def minmax_2_by_cols(M: np.ndarray) -> Tuple[float, np.ndarray]:
             val = max(t * a + s * b for a, b in cols)
             if val < best - 1e-15:
                 best, x = val, (t, s)
-    return best, np.array(x)
+    return best, x

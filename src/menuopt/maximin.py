@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,8 +75,8 @@ class ForcingState:
 
     act() solves again only when the bytes of p differ from those of its
     last solve, and otherwise returns the kept answer; with k = 1, p never
-    moves, so one solve serves the whole epoch. The x it returns is
-    read-only, because the same array may serve many rounds.
+    moves, so one solve serves the whole epoch. The x it returns is a tuple
+    of floats, so the one object that serves many rounds cannot change.
 
     observe(x, y) feeds the rewards u_{O,i}(x, y) - c_i. They run on Python
     floats, in the order in which `np.einsum("i,kij,j->k")` sums, where a
@@ -111,7 +111,12 @@ class ForcingState:
             self._minmax = lp.minmax_2_by_cols
         else:
             zero_sum_value = lp.zero_sum_value
-            self._minmax = lambda omega: zero_sum_value(omega)[:2]
+
+            def simplex(omega: np.ndarray) -> Tuple[float, Tuple[float, ...]]:
+                val, x, _ = zero_sum_value(omega)
+                return val, tuple(x.tolist())
+
+            self._minmax = simplex
         # ln k and 2 p_max for _hedge, or None where hedge_weights stays uniform
         self._hedge_args = (float(np.log(game.k)), 2.0 * game.p_max) if game.k > 1 and game.p_max else None
         # each type's payoffs in row-major order, where the reward runs on Python floats
@@ -127,32 +132,28 @@ class ForcingState:
         # dispatch: p @ flat may take another BLAS kernel
         return p.reshape(1, -1).dot(self._flat).reshape(self._shape)
 
-    def _answer(self, p: np.ndarray) -> Optional[Tuple[np.ndarray, List[float]]]:
-        """The round's x at weights p, read-only and as a list, or None when
-        only aborting remains; solved again only when p's bytes change."""
+    def _answer(self, p: np.ndarray) -> Optional[Tuple[float, ...]]:
+        """The round's x at weights p as a tuple of floats, or None when only
+        aborting remains; solved again only when p's bytes change."""
         key = p.tobytes()
         if key != self._kept[0]:
             val, x = self._minmax(self._omega(p))
-            answer = None
-            if val <= float(p.dot(self.c)) + _SLACK:  # the ddot of p @ c, without its dispatch
-                x.flags.writeable = False
-                answer = (x, x.tolist())
-            self._kept = (key, answer)
+            fits = val <= float(p.dot(self.c)) + _SLACK  # the ddot of p @ c, without its dispatch
+            self._kept = (key, x if fits else None)
             self._stored = None
         elif self._stored is None:
             self._stored = {}
         return self._kept[1]
 
-    def act(self) -> Optional[np.ndarray]:
+    def act(self) -> Optional[Tuple[float, ...]]:
         """The round's action x, or None when only aborting remains."""
-        answer = self._answer(self.p)
-        return None if answer is None else answer[0]
+        return self._answer(self.p)
 
     def certificate(self) -> np.ndarray:
         """The opponent mix that refutes the menu at the current weights."""
         return lp.zero_sum_value(self._omega(self.p))[2]
 
-    def _reward(self, x: List[float], y: List[float]) -> List[float]:
+    def _reward(self, x: Sequence[float], y: List[float]) -> List[float]:
         payoffs = self._payoffs
         if payoffs is None:
             return (np.einsum("i,kij,j->k", x, self.game.opponent_payoffs, y) - self.c).tolist()
@@ -168,7 +169,7 @@ class ForcingState:
             r.append(total - c)
         return r
 
-    def _kept_reward(self, x: List[float], y: np.ndarray, y_list: List[float]) -> List[float]:
+    def _kept_reward(self, x: Tuple[float, ...], y: np.ndarray, y_list: List[float]) -> List[float]:
         # _reward of the kept x, served from the memo where it holds y's bytes
         stored = self._stored
         if stored is None:
@@ -181,12 +182,12 @@ class ForcingState:
                 stored[key] = r
         return r
 
-    def observe(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def observe(self, x: Sequence[float], y: np.ndarray) -> np.ndarray:
         """Feed the rewards u_{O,i}(x, y) - c_i; returns them."""
-        answer = self._kept[1]
+        kept = self._kept[1]
         y = np.asarray(y, dtype=float)
-        if answer is not None and x is answer[0]:
-            r = self._kept_reward(answer[1], y, y.tolist())
+        if kept is not None and x is kept:
+            r = self._kept_reward(kept, y, y.tolist())
         else:
             r = self._reward(np.asarray(x, dtype=float).tolist(), y.tolist())
         cumulative = [a + b for a, b in zip(self.cumulative.tolist(), r)]
@@ -211,14 +212,13 @@ class ForcingState:
         policy = None
         block = 0
         for _ in range(rounds.played, len(rounds.xs)):
-            answer = answer_at(p)
-            if answer is None:
+            x = answer_at(p)
+            if x is None:
                 break
             if policy is None:
                 policy = rounds.adversary(self.game, self.assignment)
             y = policy(rng)
             y_list = y.tolist()
-            x = answer[1]
             r = kept_reward(x, y, y_list)
             xs += x
             ys += y_list
@@ -395,6 +395,8 @@ def run_blackwell_abort(
     """Drive one abortable run for up to T rounds against an adversary."""
     if T < 1:
         raise InvalidInput("horizon must be at least one round")
+    if seed < 0:
+        raise InvalidInput("seed must be non-negative")
     state = ForcingState(game, assignment)
     rounds = _Rounds(game, adversary, seed, T)
     t = state.play(rounds)
@@ -432,6 +434,8 @@ def run_maximin(
     """Epoch loop: start at the top learner value, back off eps per abort."""
     if T < 1:
         raise InvalidInput("horizon must be at least one round")
+    if seed < 0:
+        raise InvalidInput("seed must be non-negative")
     if not (0 < eps < np.inf):
         raise InvalidInput("eps must be positive and finite")
     rounds = _Rounds(game, adversary, seed, T)

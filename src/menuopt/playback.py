@@ -215,7 +215,7 @@ class BlackwellAbortPolicy(LearnerPolicy):
     def reset(self, game: BimatrixGame, T: int, chosen_target: Optional[int]) -> None:
         self.state = ForcingState(game, self.assignment)
 
-    def act(self, t: int) -> Optional[np.ndarray]:
+    def act(self, t: int) -> Optional[Tuple[float, ...]]:
         return self.state.act()
 
     def observe(self, t: int, x: np.ndarray, y: np.ndarray) -> None:

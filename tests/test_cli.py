@@ -197,6 +197,12 @@ def test_maximin_rejects_non_finite_eps(capsys, g1_path, eps):
     assert "eps" in json.loads(out)["error"]["message"]
 
 
+def test_maximin_rejects_a_negative_seed(capsys, g1_path):
+    code, out = run_cli(capsys, "maximin", "--game", g1_path, "--T", "50", "--seed", "-1")
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "validation", "message": "seed must be non-negative"}
+
+
 def test_check_menu_rejects_nan_delta(capsys, g1_path, tmp_path):
     ap = tmp_path / "assign.json"
     ap.write_text(CspAssignment((Csp.point_mass(0, 1, 3, 2),)).to_json())

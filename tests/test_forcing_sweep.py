@@ -153,7 +153,7 @@ def test_an_x_other_than_the_kept_one_is_computed_afresh(monkeypatch):
     stored = state.observe(x, y)
     assert len(computed) == 2
     state.act()
-    fresh = state.observe(x.copy(), y)  # equal bytes, but not the kept array
+    fresh = state.observe(np.asarray(x), y)  # equal values, but not the kept tuple
     assert len(computed) == 3
     assert fresh is not stored and fresh.flags.writeable
     assert np.array_equal(fresh, stored)

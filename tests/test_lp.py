@@ -266,7 +266,8 @@ def exact_minmax_2_by_cols(M):
 def check_minmax_2_by_cols(M, tol=1e-12):
     """The closed form's value and x against exact arithmetic; returns them."""
     val, x = lp.minmax_2_by_cols(M)
-    assert type(val) is float and x.shape == (2,)
+    assert type(val) is float and type(x) is tuple and [type(v) for v in x] == [float, float]
+    x = np.asarray(x)
     assert x[0] + x[1] == pytest.approx(1.0, abs=1e-15) and np.all(x >= 0.0)
     # the value is the payoff x caps every column at, computed as the solver does
     assert val == max(x[0] * a + x[1] * b for a, b in M.T.tolist())

@@ -157,13 +157,14 @@ def test_k1_epoch_solves_its_game_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_act_returns_a_read_only_x(n):
+    # x is one tuple of floats, kept and served again until p moves
     game = random_game(np.random.default_rng([9100, 3, n, 1]), 3, n, 1)
     w = np.zeros(3 * n)
     w[int(np.argmax(game.u_O(0).ravel()))] = 1.0  # the type's favourite: never aborts
     state = ForcingState(game, CspAssignment((Csp(w),)))
     x = state.act()
-    assert x is not None and not x.flags.writeable
-    with pytest.raises(ValueError):
+    assert type(x) is tuple and [type(v) for v in x] == [float] * 3
+    with pytest.raises(TypeError):
         x[0] = 0.5
     assert state.act() is x
 
@@ -347,6 +348,14 @@ def test_run_maximin_averages_are_the_transcript_profile(shape, adversary):
 def test_run_maximin_rejects_eps_that_is_not_positive_and_finite(g1, eps):
     with pytest.raises(InvalidInput, match="eps"):
         run_maximin(g1, eps, random_adversary, 10)
+
+
+def test_runs_reject_a_negative_seed(g1):
+    assign = threshold_assignment(g1, float(np.min(g1.u_L)))
+    with pytest.raises(InvalidInput, match="seed"):
+        run_maximin(g1, 0.05, random_adversary, 10, seed=-1)
+    with pytest.raises(InvalidInput, match="seed"):
+        run_blackwell_abort(g1, assign, random_adversary, 10, seed=-1)
 
 
 def test_run_maximin_rejects_eps_too_small_to_lower_the_level(g1):

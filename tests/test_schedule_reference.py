@@ -10,8 +10,12 @@ target and dimension, at both sides of every block boundary, and over a
 sweep of 1,080 targets. It also checks, with a spy on `core._repair`, that
 the builder falls back on the loop for a dense target and never for a
 target of support 2, and, with a spy on the blocks the schedule adversary
-takes, that an epoch builds only about as many pairs as it plays.
+takes, that an epoch builds only about as many pairs as it plays. The
+builder's guess, `core._apportion`, is checked row by row against a plain
+Python largest-remainder rule.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -193,6 +197,53 @@ def test_support_two_target_never_takes_the_repair_step(monkeypatch):
             w[rng.choice(d, size=2, replace=False)] = [a, 1.0 - a]
             assert np.array_equal(library_schedule(Csp(w), 20_000), reference_schedule(w, 20_000))
     assert calls == []
+
+
+def reference_apportion(row: list, t: float) -> list:
+    """floor(row) plus one seat for each of the t - sum(floor(row)) largest
+    remainders, the lowest index first among equal ones."""
+    floors = [float(math.floor(v)) for v in row]
+    remainders = [v - f for v, f in zip(row, floors)]
+    order = sorted(range(len(row)), key=lambda i: (-remainders[i], i))
+    for i in order[: max(0, int(t - sum(floors)))]:
+        floors[i] += 1.0
+    return floors
+
+
+@pytest.mark.parametrize(
+    "row, t, seats",
+    [
+        # more remainders tie at the cut than seats are left: the lowest
+        # index takes the tie, and the strict winners right of it still win;
+        # the first row is w = (1/8, 1/8, 3/8, 3/8) at t = 5
+        ([5 / 8, 5 / 8, 15 / 8, 15 / 8], 5, [1, 0, 2, 2]),
+        ([0.5, 0.5, 0.5, 0.5], 2, [1, 1, 0, 0]),
+        ([0.5, 0.5, 0.5, 0.75, 0.75], 3, [1, 0, 0, 1, 1]),
+        ([2 / 3, 2 / 3, 2 / 3], 2, [1, 1, 0]),
+        # no seat left
+        ([2.0, 1.0, 1.0], 4, [2, 1, 1]),
+        ([0.0, 3.0], 3, [0, 3]),
+        # every remainder wins
+        ([0.9, 0.9, 0.9], 3, [1, 1, 1]),
+        ([1.5, 0.5], 3, [2, 1]),
+    ],
+)
+def test_apportion_gives_largest_remainders_lowest_index_first(row, t, seats):
+    got = core._apportion(np.array([row]), np.array([float(t)]))
+    assert got.tolist() == [seats]
+    assert reference_apportion(row, t) == seats
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_apportion_matches_the_python_rule_on_every_target(d):
+    # as the builder guesses: on the target's support, for t = 1, ..., 2048
+    t = np.arange(1, 2049, dtype=float)
+    for kind, w in targets(d):
+        WT = t[:, None] * w[w > 0]
+        G = core._apportion(WT, t)
+        assert np.array_equal(G.sum(axis=1), t), f"{kind} target, d={d}"
+        for s in range(0, 2048, 7):
+            assert G[s].tolist() == reference_apportion(WT[s].tolist(), t[s]), f"{kind} target, d={d}, t={t[s]}"
 
 
 def _count_built(monkeypatch) -> list:

@@ -128,7 +128,7 @@ def run_both(game, make_learner, make_opponent, T, **kw):
         learner, calls = make_learner(), []
 
         def on_round(t, x, y):
-            calls.append((t, x.tobytes(), y.tobytes()))
+            calls.append((t, np.asarray(x, dtype=float).tobytes(), y.tobytes()))
 
         report = sim(game, learner, make_opponent(), T, on_round=on_round, **kw)
         sides.append((report, calls, learner))
