@@ -6,6 +6,9 @@ assignments whose candidate menu is a valid menu; the latter is accessed
 only through the approachability tester, whose invalidity certificates
 convert into separating hyperplanes.  Central-cut ellipsoid iterations
 shrink the localization set until its objective range is below eps/2.
+The constant cut normals are built once per call; P starts as k*I and
+each update computes its (i, j) and (j, i) entries from the same
+operands, so P stays exactly symmetric without re-symmetrising.
 When u_L is all 0 the objective is constant, and the first centre that
 passes every check ends the search.  To value the returned menu, use
 `menus.eval_menu_value`.
@@ -13,6 +16,7 @@ passes every check ends the search.  To value the returned menu, use
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -42,19 +46,6 @@ class GeneralCommitment:
     converged: bool
     iterations: int
     verdict_approachable: bool
-
-
-def _ellipsoid_cut(center: np.ndarray, P: np.ndarray, a: np.ndarray):
-    """Central cut keeping {x : a . x <= a . center}; returns new (center, P)."""
-    d = center.size
-    Pa = P @ a
-    denom = float(a @ Pa)
-    if denom <= 0:
-        raise lp.NumericalFailure("ellipsoid collapsed")
-    g = Pa / np.sqrt(denom)
-    center = center - g / (d + 1.0)
-    P = (d * d / (d * d - 1.0)) * (P - (2.0 / (d + 1.0)) * np.outer(g, g))
-    return center, 0.5 * (P + P.T)
 
 
 def _clean_assignment(vec: np.ndarray, k: int) -> CspAssignment:
@@ -88,7 +79,7 @@ def optimize_general(
     mn = game.m * game.n
     if delta is None:
         delta = eps / (8.0 * np.sqrt(mn))
-    if delta > eps / 4.0 + 1e-12:
+    if delta > eps / 4.0 * (1.0 + 1e-9):
         raise InvalidInput("delta must be at most eps/4")
     k = game.k
     d = k * mn
@@ -108,6 +99,16 @@ def optimize_general(
     flat = not np.any(obj)
 
     uo_flat = np.array([game.u_O(i).ravel() for i in range(k)])
+    # the cut normals that stay fixed during the search, signed for the
+    # central cut below
+    sum_rows = np.kron(np.eye(k), np.ones(mn))  # row i is 1 on block i
+    neg_sum_rows, neg_units, neg_obj = -sum_rows, -np.eye(d), -obj
+    ic_rows = np.zeros((k, k, d))  # [i, j]: u_{O,i} on block i minus on block j
+    for i in range(k):
+        for j in range(k):
+            ic_rows[i, j, i * mn : (i + 1) * mn] = uo_flat[i]
+            ic_rows[i, j, j * mn : (j + 1) * mn] -= uo_flat[i]
+    neg_ic_rows = -ic_rows.reshape(k * k, d)  # row i * k + j
     net = TesterNet.build(game, delta)  # shared by every verdict below
     best_vec: Optional[np.ndarray] = None
     best_val = -np.inf
@@ -117,34 +118,28 @@ def optimize_general(
         # every type's only profile is the single pair; there is nothing to
         # search, and at k = 1 the ellipsoid update would divide by d*d - 1 = 0
         best_vec, converged, max_iters = np.ones(d), True, 0
+    else:
+        # the update's constants: P <- d²/(d²-1) (P - 2/(d+1) g g^T), x <- x - g/(d+1)
+        dd1, two_d1, d1 = d * d / (d * d - 1.0), 2.0 / (d + 1.0), d + 1.0
 
     for iters in range(1, max_iters + 1):
-        cut: Optional[np.ndarray] = None
-        keep_ge = False  # when True the kept side is {a . x >= a . center}
-
+        # the block-sum, sign and IC checks read Python lists; max, min and
+        # index keep argmax's and argmin's first-index tie rule
         blocks = center.reshape(k, mn)
-        sums = blocks.sum(axis=1)
-        negs = blocks.min(axis=1)
-        if np.any(np.abs(sums - 1.0) > tol):
-            i = int(np.argmax(np.abs(sums - 1.0)))
-            a = np.zeros(d)
-            a[i * mn : (i + 1) * mn] = 1.0
-            cut, keep_ge = a, sums[i] < 1.0
-        elif np.any(negs < -tol):
-            i = int(np.argmin(negs))
-            j = int(np.argmin(blocks[i]))
-            a = np.zeros(d)
-            a[i * mn + j] = 1.0
-            cut, keep_ge = a, True
+        sums = np.add.reduce(blocks, axis=1).tolist()
+        negs = np.minimum.reduce(blocks, axis=1).tolist()
+        off = [abs(s - 1.0) for s in sums]
+        if max(off) > tol:
+            i = off.index(max(off))
+            cut = neg_sum_rows[i] if sums[i] < 1.0 else sum_rows[i]
+        elif min(negs) < -tol:
+            i = negs.index(min(negs))
+            cut = neg_units[i * mn + blocks[i].tolist().index(negs[i])]
         else:
-            own = uo_flat @ blocks.T  # own[i, j] = u_{O,i}(phi_j)
-            ic_gap = own.diagonal()[:, None] - own
-            if np.min(ic_gap) < -tol:
-                i, j = np.unravel_index(int(np.argmin(ic_gap)), ic_gap.shape)
-                a = np.zeros(d)
-                a[i * mn : (i + 1) * mn] = uo_flat[i]
-                a[j * mn : (j + 1) * mn] -= uo_flat[i]
-                cut, keep_ge = a, True
+            own = (uo_flat @ blocks.T).tolist()  # own[i][j] = u_{O,i}(phi_j)
+            ic_gap = [row[i] - x for i, row in enumerate(own) for x in row]
+            if min(ic_gap) < -tol:
+                cut = neg_ic_rows[ic_gap.index(min(ic_gap))]
             else:
                 # thresholds are linear in the raw center, so the tester and
                 # the separator run on it directly; cuts then pass exactly
@@ -159,21 +154,26 @@ def optimize_general(
                     if flat:
                         converged = True
                         break
-                    cut, keep_ge = obj.copy(), True
+                    cut = neg_obj
                 else:
                     h, offset, margin = separator_for_thresholds(
                         game, c_raw, verdict.certificate_y
                     )
-                    a = np.zeros(d)
-                    for i in range(k):
-                        a[i * mn : (i + 1) * mn] = h[i] * uo_flat[i]
+                    a = (h[:, None] * uo_flat).ravel()
                     if on_cut is not None:
                         on_cut(center.copy(), a.copy(), offset, margin)
-                    cut, keep_ge = a, True
+                    cut = -a
 
-        center, P = _ellipsoid_cut(center, P, -cut if keep_ge else cut)
+        # central cut keeping {x : cut . x <= cut . center}
+        Pa = P @ cut
+        denom = float(cut @ Pa)
+        if not 0.0 < denom < np.inf:
+            raise lp.NumericalFailure("ellipsoid collapsed")
+        g = Pa / math.sqrt(denom)
+        center = center - g / d1
+        P = dd1 * (P - two_d1 * np.multiply.outer(g, g))
         if best_vec is not None:
-            spread = float(np.sqrt(max(0.0, obj @ P @ obj)))
+            spread = math.sqrt(max(0.0, float(obj @ P @ obj)))
             if float(obj @ center) + spread - best_val <= eps / 2.0:
                 converged = True
                 break

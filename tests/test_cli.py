@@ -152,6 +152,17 @@ def test_commit_general_on_an_all_zero_game(capsys, zero_path):
     assert res["menu_certified"] is True
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_commit_general_exits_3_when_the_ellipsoid_overflows(capsys, tmp_path):
+    doc = dict(G1_DOC, u_L=(np.array(G1_DOC["u_L"]) * 1e300).tolist(),
+               types=[{"u_O": (np.array(G1_DOC["types"][0]["u_O"]) * 1e300).tolist(), "alpha": 1.0}])
+    path = tmp_path / "g1e300.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "commit-general", "--game", str(path), "--eps", "5e298")
+    assert code == 3
+    assert out == {"error": {"kind": "numerical", "message": "ellipsoid collapsed"}}
+
+
 def test_check_menu_roundtrip(capsys, g1_path, tmp_path):
     assign = CspAssignment((Csp.point_mass(0, 1, 3, 2),))
     ap = tmp_path / "assign.json"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_csp, random_game
+from conftest import random_csp, random_game, scaled
 from menuopt import lp
 from menuopt.approachability import simplex_lattice, test_assignment_valid
 from menuopt.core import BimatrixGame, Csp, CspAssignment
@@ -165,6 +165,26 @@ def test_iteration_cap_returns_flagged_best_so_far(g1):
 def test_delta_must_respect_eps(g1):
     with pytest.raises(InvalidInput):
         optimize_general(g1, eps=0.05, delta=0.05)
+
+
+# the bound is relative, so it holds at every scale of eps
+def test_delta_of_exactly_eps_over_4_is_accepted(g1):
+    res = optimize_general(g1, eps=0.05, delta=0.05 / 4.0, max_iters=5)
+    assert res.iterations <= 5
+
+
+@pytest.mark.parametrize("eps,delta", [(0.05, 1.000001 * 0.05 / 4.0), (4e-12, 1.9e-12)])
+def test_delta_just_above_eps_over_4_is_refused(g1, eps, delta):
+    with pytest.raises(InvalidInput, match="delta must be at most eps/4"):
+        optimize_general(g1, eps=eps, delta=delta)
+
+
+# at payoffs of order 1e300, a @ P @ a overflows to inf; the search must
+# stop there instead of iterating on NaN centres until its cap
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_ellipsoid_raises(g1):
+    with pytest.raises(NumericalFailure, match="ellipsoid collapsed"):
+        optimize_general(scaled(g1, 1e300), eps=0.05e300)
 
 
 @pytest.mark.parametrize(
