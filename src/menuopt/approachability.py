@@ -22,15 +22,18 @@ asks of that game and delta reuses it.  A net lives as long as its
 holder: a solver call, or a maximin aborter adversary, which keeps one
 net across every run on the same game; there is no module-level cache.
 
-A refutation becomes a cut by Blackwell's separation argument: the
-zero-sum game between type weights h and the learner under the refuting
-y.  At k <= 2 it has at most two rows and is solved in closed form.
+A refuting direction's opponent mix y comes from `lp.maximizer_mix`, in
+closed form when the game has two rows or two columns.  It becomes a
+cut by Blackwell's separation argument: the zero-sum game between type
+weights h and the learner under the refuting y.  At k <= 2 that game has
+at most two rows and is solved in closed form too, so a k <= 2 search on
+a game with m = 2 or n = 2 runs no simplex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, comb
+from math import ceil, comb, isfinite
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -136,10 +139,11 @@ class TesterNet:
 
     The values come from `lp.zero_sum_values`, certified but without a
     simplex per direction.  The certificate y of a refuting direction is
-    solved by the simplex (`halfspace_value`) on first use and kept, so a
-    solver that asks many verdicts of the same game solves each such game
-    once.  A net lives as long as its holder, a solver call or a maximin
-    aborter adversary (one net for all its runs on the same game).
+    the maximizer's mix of M_a (`lp.maximizer_mix`: in closed form when
+    m = 2 or n = 2, by the simplex otherwise), solved on first use and
+    kept, so a solver that asks many verdicts of the same game solves each
+    such game once.  A net lives as long as its holder, a solver call or a
+    maximin aborter adversary (one net for all its runs on the same game).
     """
 
     game: BimatrixGame
@@ -164,7 +168,8 @@ class TesterNet:
         """Opponent mix of the zero-sum game of direction `index`."""
         y = self.certificates.get(index)
         if y is None:
-            y = self.certificates[index] = halfspace_value(self.game, self.points[index])[2]
+            M_a = np.tensordot(self.points[index], self.game.opponent_payoffs, axes=(0, 0))
+            y = self.certificates[index] = lp.maximizer_mix(M_a)
         return y.copy()
 
 
@@ -176,13 +181,24 @@ def _net_for(game: BimatrixGame, delta: float, net: Optional[TesterNet]) -> Test
     return net
 
 
+def _thresholds(game: BimatrixGame, c: np.ndarray) -> np.ndarray:
+    """c as a float array, or InvalidInput unless it holds one finite entry per type."""
+    c = np.asarray(c, dtype=float)
+    if c.shape != (game.k,) or not all(map(isfinite, c.tolist())):
+        raise InvalidInput(f"thresholds must be a finite vector of length {game.k}")
+    return c
+
+
 def verdict_for_thresholds(
     game: BimatrixGame, c: np.ndarray, delta: float, net: Optional[TesterNet] = None
 ) -> ApproachVerdict:
     """Tester core over raw per-type utility thresholds c.
 
-    `net`, when given, must have been built for this game object and delta.
+    c must be a finite vector of one threshold per type; a NaN would
+    compare as no violation and pass.  `net`, when given, must have been
+    built for this game object and delta.
     """
+    c = _thresholds(game, c)
     net = _net_for(game, delta, net)
     bad = np.nonzero(net.slacks(c) < -1e-12)[0]
     if bad.size == 0:
@@ -227,12 +243,20 @@ def separator_for_thresholds(
     on the boundary.
     Among optimal h the lexicographically largest (lowest index favored)
     is returned for determinism.  The margin is min_r G[0, r] at k = 1,
-    `lp.minmax_2_by_cols` at k = 2 and the simplex at k >= 3.
+    `lp.minmax_2_by_cols` at k = 2 and the simplex at k >= 3.  Thresholds
+    that are not one finite number per type, a certificate off the
+    opponent's simplex (by `halfspace_value`'s tolerances) and any margin
+    not above 1e-9 are refused.
     """
     y = np.asarray(certificate_y, dtype=float)
     if y.shape != (game.n,):
         raise InvalidInput("certificate has wrong dimension")
-    c = np.asarray(c, dtype=float)
+    ys = y.tolist()
+    # halfspace_value's simplex tolerances; a NaN or infinite entry makes
+    # the sum NaN or infinite, so the sum test refuses it too
+    if not (abs(sum(ys) - 1.0) <= 1e-9 and min(ys) >= -1e-12):
+        raise InvalidInput("certificate must lie on the opponent's simplex")
+    c = _thresholds(game, c)
     G = np.array([game.u_O(i) @ y - c[i] for i in range(game.k)])  # (k, m)
     if game.k == 1:
         margin = float(np.min(G))
@@ -240,7 +264,7 @@ def separator_for_thresholds(
         margin = -lp.minmax_2_by_cols(-G)[0]
     else:
         margin = -lp.zero_sum_value(-G)[0]
-    if margin <= 1e-9:
+    if not margin > 1e-9:  # a NaN margin is no margin
         raise CertificateInvalid(f"certificate has non-positive margin {margin}")
     h = _lexicographic_h(G, margin)
     offset = float(h @ c)

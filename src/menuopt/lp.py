@@ -39,6 +39,9 @@ certifies it.  `zero_sum_value_batch2` bounds every kernel of size <= 2 in
 closed form, which values any game with two rows or two columns; larger
 kernels take stacked linear solves.  `minmax_rows_by_2` gives the value
 and x of one m x 2 game, and `minmax_2_by_cols` those of one 2 x n game.
+They serve the column player too: `maximizer_mix` takes the maximizer's y
+of a game with two rows or two columns from them, run on -M^T, and only
+larger games from the simplex.
 """
 
 from __future__ import annotations
@@ -484,11 +487,7 @@ def zero_sum_value(M: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
     (value, x, y) where value = min_x max_y x^T M y, x attains it, and y
     certifies it from below (x'^T M y >= value for every x').
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.size == 0:
-        raise InvalidInput("payoff matrix must be 2-d and nonempty")
-    if not np.all(np.isfinite(M)):
-        raise InvalidInput("payoff matrix must be finite")
+    M = _checked_game(M)
     p, q = M.shape
     # Variables (x_1..x_p, v): maximize -v s.t. M[:,j].x - v <= 0, sum x = 1.
     d = p + 1
@@ -510,9 +509,46 @@ def zero_sum_value(M: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
     y = normalized(sol.dual[:q])
     if abs(float(np.max(M.T @ x)) - value) > 1e-7 * max(1.0, abs(value)):
         raise NumericalFailure("zero-sum primal certificate failed")
+    _check_dual(M, value, y)
+    return value, x, y
+
+
+def maximizer_mix(M: np.ndarray) -> np.ndarray:
+    """The column player's optimal mix y of the zero-sum game with matrix M.
+
+    y maximizes min_x x^T M y.  The column player's game is the row
+    minimizer's game on -M^T, so a game with two columns takes
+    `minmax_2_by_cols(-M.T)` and one with two rows `minmax_rows_by_2(-M.T)`,
+    with their tie rules; any other shape takes `zero_sum_value`.  Every y
+    passes `zero_sum_value`'s dual check, min(M y) >= value - 1e-7 *
+    max(1, |value|, max|M|), or the call raises.
+    """
+    M = _checked_game(M)
+    m, n = M.shape
+    if n == 2:
+        neg_value, y = minmax_2_by_cols(-M.T)
+    elif m == 2:
+        neg_value, y = minmax_rows_by_2(-M.T)
+    else:
+        return zero_sum_value(M)[2]
+    y = np.array(y)
+    _check_dual(M, -neg_value, y)
+    return y
+
+
+def _checked_game(M: np.ndarray) -> np.ndarray:
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.size == 0:
+        raise InvalidInput("payoff matrix must be 2-d and nonempty")
+    if not np.all(np.isfinite(M)):
+        raise InvalidInput("payoff matrix must be finite")
+    return M
+
+
+def _check_dual(M: np.ndarray, value: float, y: np.ndarray) -> None:
+    """y guarantees the column player value, up to 1e-7 * max(1, |value|, max|M|)."""
     if float(np.min(M @ y)) < value - 1e-7 * max(1.0, abs(value), float(np.max(np.abs(M)))):
         raise NumericalFailure("zero-sum dual certificate failed")
-    return value, x, y
 
 
 def zero_sum_values(stack: np.ndarray) -> np.ndarray:

@@ -69,9 +69,10 @@ class ForcingState:
 
     act() solves the weighted game in closed form when it has two columns
     (`lp.minmax_rows_by_2`) or two rows (`lp.minmax_2_by_cols`), and by the
-    simplex (`lp.zero_sum_value`) otherwise; certificate() always takes the
-    simplex, since it needs the dual mix y. The solver is looked up on `lp`
-    when the state is built.
+    simplex (`lp.zero_sum_value`) otherwise; the solver is looked up on
+    `lp` when the state is built. certificate() takes the opponent's mix y
+    from `lp.maximizer_mix`, which runs the same two closed forms on the
+    opponent's side and the simplex only at m, n >= 3.
 
     act() solves again only when the bytes of p differ from those of its
     last solve, and otherwise returns the kept answer; with k = 1, p never
@@ -151,7 +152,7 @@ class ForcingState:
 
     def certificate(self) -> np.ndarray:
         """The opponent mix that refutes the menu at the current weights."""
-        return lp.zero_sum_value(self._omega(self.p))[2]
+        return lp.maximizer_mix(self._omega(self.p))
 
     def _reward(self, x: Sequence[float], y: List[float]) -> List[float]:
         payoffs = self._payoffs

@@ -9,6 +9,7 @@ from menuopt.approachability import (
     separator_for_thresholds,
     simplex_lattice,
     test_assignment_valid,
+    verdict_for_thresholds,
     water_fill_repair,
 )
 from menuopt.core import BimatrixGame, Csp, CspAssignment, bilinear_value
@@ -240,6 +241,44 @@ def test_separating_hyperplane_rejects_bogus_certificate():
     assign = argmax_assignment(game)  # candidate menu is everything
     with pytest.raises(CertificateInvalid):
         separator_for_thresholds(game, candidate_menu(assign, 0.0, game).rhs, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("c", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0], [0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]])
+def test_verdict_rejects_thresholds_that_are_not_a_finite_vector_per_type(c):
+    # a NaN threshold compared as no violation, so the tester passed it
+    game = random_game(np.random.default_rng(0), 3, 2, 2)
+    with pytest.raises(InvalidInput, match="thresholds"):
+        verdict_for_thresholds(game, np.array(c), 0.05)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("y", [[np.nan, np.nan], [np.inf, 0.0], [-5.0, 6.0], [2.0, 2.0], [0.5, 0.4], [1.0 + 1e-12, -1e-11]])
+def test_separator_rejects_a_certificate_off_the_simplex(k, y):
+    # at k <= 2 these gave margins nan and inf, or cuts from y that are not mixes
+    game = random_game(np.random.default_rng([40, k]), 3, 2, k)
+    c = np.full(k, -2.0)  # below every payoff: any mix of the opponent refutes
+    with pytest.raises(InvalidInput, match="simplex"):
+        separator_for_thresholds(game, c, np.array(y))
+
+
+@pytest.mark.parametrize("y", [[1.0, 0.0], [1.0 + 1e-10, -1e-12], [0.3, 0.7]])
+def test_separator_accepts_mixes_within_the_simplex_tolerances(y):
+    game = random_game(np.random.default_rng([40, 2]), 3, 2, 2)
+    assert separator_for_thresholds(game, np.full(2, -2.0), np.array(y))[2] > 0.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, "short"])
+def test_separator_rejects_thresholds_that_are_not_a_finite_vector_per_type(k, bad):
+    # at k = 2 a NaN threshold gave a cut
+    game = random_game(np.random.default_rng([41, k]), 3, 2, k)
+    c = np.full(k, -2.0)
+    if bad == "short":
+        c = c[1:]
+    else:
+        c[0] = bad
+    with pytest.raises(InvalidInput, match="thresholds"):
+        separator_for_thresholds(game, c, np.array([0.5, 0.5]))
 
 
 def test_water_fill_point_mass_on_top_unchanged():

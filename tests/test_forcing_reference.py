@@ -3,7 +3,8 @@
 `ReferenceForcingState` is the forcing round written the direct way: Ω by
 `np.tensordot` every round, a fresh solve every round, the numpy
 two-column and two-row solves `reference_minmax_rows_by_2` and
-`reference_minmax_2_by_cols`, an einsum reward and a cumulative reward
+`reference_minmax_2_by_cols` (on -Ω^T for the abort certificate at
+n = 2 or m = 2), an einsum reward and a cumulative reward
 vector rebuilt on every update, and an epoch that writes each round into
 the run's arrays as it is played. `run_blackwell_abort` and `run_maximin`
 run once with it patched in for `maximin.ForcingState` and once with the
@@ -131,7 +132,14 @@ class ReferenceForcingState:
         return x if val <= float(self.p @ self.c) + _SLACK else None
 
     def certificate(self):
-        return lp.zero_sum_value(self._omega())[2]
+        # the opponent's mix of Ω is the row minimizer's mix of -Ω^T, in
+        # closed form when Ω has two columns or two rows
+        omega = self._omega()
+        if self.game.n == 2:
+            return reference_minmax_2_by_cols(-omega.T)[1]
+        if self.game.m == 2:
+            return reference_minmax_rows_by_2(-omega.T)[1]
+        return lp.zero_sum_value(omega)[2]
 
     def observe(self, x, y):
         r = np.einsum("i,kij,j->k", x, self.game.opponent_payoffs, y) - self.c

@@ -13,7 +13,12 @@ n=4)` gives them), the gap between the medians relative to the parent's,
 whether that gap is wider than the parent's interquartile distance, and
 in how many pairs the change read better by the metric's `better`. Then
 one line per pair with each run's command count (`len(latencies)`) beside
-its `peak_rss_mb`, since the peak grows with the commands a run completes.
+its `peak_rss_mb`, since the peak grows with the commands a run completes,
+and each run's median calibration-kernel time in µs: over the samples
+stored with its commands (the last field of each `latencies` entry) and
+over its set-ups (`setup_kernel_s`). The bench scales every latency to the
+speed at which that kernel takes 1 ms, so a side whose kernel ran faster
+reads slower by the same factor.
 """
 
 from __future__ import annotations
@@ -67,11 +72,17 @@ def report(parent: dict, change: dict, metrics) -> list:
             gap = (b2 - a2) / a2 if a2 else float("nan")
             lines.append(f"  {name:<20} {f'{a2:.4g} ({a1:.4g}-{a3:.4g})':<28} {f'{b2:.4g} ({b1:.4g}-{b3:.4g})':<28}"
                          f" {gap:+8.2%}  {'yes' if abs(b2 - a2) > a3 - a1 else 'no':<12} {wins}/{len(pairs)}")
-        lines.append(f"  {'seed':<8} {'parent commands':>16} {'peak_rss_mb':>12} {'change commands':>16} {'peak_rss_mb':>12}")
-        for s, (p, c) in zip(seeds, pairs):
-            lines.append(f"  {s:<8} {len(p['latencies']):>16} {p['metrics']['peak_rss_mb']['value']:>12.2f}"
-                         f" {len(c['latencies']):>16} {c['metrics']['peak_rss_mb']['value']:>12.2f}")
+        lines.append(f"  {'seed':<8}" + "".join(f" {side + ' commands':>16} {'peak_rss_mb':>12} {'kernel_us':>10}"
+                                                  f" {'setup_kernel_us':>16}" for side in ("parent", "change")))
+        lines += [f"  {s:<8} {run_line(p)} {run_line(c)}" for s, (p, c) in zip(seeds, pairs)]
     return lines
+
+
+def run_line(run: dict) -> str:
+    """A run's command count, peak RSS and median calibration-kernel times."""
+    samples = [k for entry in run["latencies"] for k in entry[-1]]
+    kernel, setup = (statistics.median(v) * 1e6 if v else float("nan") for v in (samples, run["setup_kernel_s"]))
+    return f"{len(run['latencies']):>16} {run['metrics']['peak_rss_mb']['value']:>12.2f} {kernel:>10.1f} {setup:>16.1f}"
 
 
 def main() -> None:
