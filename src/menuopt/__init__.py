@@ -35,7 +35,6 @@ from .menus import (
     HalfspaceMenu,
     candidate_menu,
     eval_menu_value,
-    incentive_check,
     menu_violation,
     no_regret_check,
     no_regret_menu,
@@ -43,11 +42,10 @@ from .menus import (
     no_swap_regret_menu,
     response_satisfiable_at,
 )
-from .stackelberg import StackelbergResult, stackelberg_leader, type_leader_values
+from .stackelberg import type_leader_values
 from .approachability import (
     ApproachVerdict,
     TesterNet,
-    halfspace_value,
     test_assignment_valid,
     water_fill_repair,
 )
@@ -62,11 +60,6 @@ from .playback import (
     schedule_for,
     simulate,
 )
-from .bruteforce import (
-    euclidean_distance_to_polytope,
-    grid_bruteforce_nr,
-    grid_maximin_opt,
-    grid_menu_validity,
-)
+from .bruteforce import grid_bruteforce_nr, grid_maximin_opt, grid_menu_validity
 
 __version__ = "0.1.0"

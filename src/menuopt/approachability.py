@@ -104,20 +104,6 @@ class ApproachVerdict:
         return f"ApproachableExpanded({self.delta})" if self.approachable else "NotApproachable"
 
 
-def halfspace_value(game: BimatrixGame, a: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
-    """Forceable level of the direction-a halfspace, with both strategies.
-
-    Returns (value, x, y) for the zero-sum game on M_a = sum_s a_s u_{O,s}
-    with the learner minimizing; the halfspace {u : a . u <= b} can be
-    forced iff value <= b.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (game.k,) or np.min(a) < -1e-12 or abs(a.sum() - 1.0) > 1e-9:
-        raise InvalidInput("direction must lie on the type simplex")
-    M_a = np.tensordot(a, game.opponent_payoffs, axes=(0, 0))
-    return lp.zero_sum_value(M_a)
-
-
 def _net_values(game: BimatrixGame, directions: np.ndarray) -> np.ndarray:
     """min_x max_y values of M_a for every direction row.
 
@@ -245,15 +231,15 @@ def separator_for_thresholds(
     is returned for determinism.  The margin is min_r G[0, r] at k = 1,
     `lp.minmax_2_by_cols` at k = 2 and the simplex at k >= 3.  Thresholds
     that are not one finite number per type, a certificate off the
-    opponent's simplex (by `halfspace_value`'s tolerances) and any margin
-    not above 1e-9 are refused.
+    opponent's simplex (entries summing to 1 within 1e-9, none below
+    -1e-12) and any margin not above 1e-9 are refused.
     """
     y = np.asarray(certificate_y, dtype=float)
     if y.shape != (game.n,):
         raise InvalidInput("certificate has wrong dimension")
     ys = y.tolist()
-    # halfspace_value's simplex tolerances; a NaN or infinite entry makes
-    # the sum NaN or infinite, so the sum test refuses it too
+    # sum within 1e-9 of 1, entries >= -1e-12; a NaN or infinite entry
+    # makes the sum NaN or infinite, so the sum test refuses it too
     if not (abs(sum(ys) - 1.0) <= 1e-9 and min(ys) >= -1e-12):
         raise InvalidInput("certificate must lie on the opponent's simplex")
     c = _thresholds(game, c)

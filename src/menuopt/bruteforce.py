@@ -1,8 +1,8 @@
 """Independent grid-search oracles for validating the solvers at desk scale.
 
-Everything here enumerates lattices or runs generic projections; nothing
-reuses a solver's own optimization path, so these values are usable as
-ground truth (up to their stated resolution slack) in tests.
+Everything here enumerates lattices; nothing reuses a solver's own
+optimization path, so these values are usable as ground truth (up to
+their stated resolution slack) in tests.
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import lp
 from .approachability import TesterNet, simplex_lattice, test_assignment_valid
 from .core import BimatrixGame, CspAssignment
-from .errors import EmptyMenu, GridTooLarge, InvalidInput
+from .errors import GridTooLarge, InvalidInput
 from .maximin import threshold_assignment
-from .menus import HalfspaceMenu, candidate_menu, no_regret_menu, response_satisfiable_at
+from .menus import candidate_menu, no_regret_menu, response_satisfiable_at
 from .stackelberg import type_leader_values
 
 _GRID_CAP = 10_000_000
@@ -124,49 +123,3 @@ def grid_maximin_opt(game: BimatrixGame, resolution: float, delta: float) -> flo
         if test_assignment_valid(assign, game, delta, net).approachable:
             return float(max(V, lo))
     return lo
-
-
-def euclidean_distance_to_polytope(point: np.ndarray, menu: HalfspaceMenu) -> float:
-    """Exact L2 distance from `point` to the menu (simplex ∩ halfspaces).
-
-    Dykstra's alternating projections onto the simplex and each
-    halfspace, iterated to 1e-6; used to spot-check the constraint-space
-    violation surrogate.
-    """
-    point = np.asarray(point, dtype=float)
-    if point.shape != (menu.dim,) and menu.n_constraints > 0:
-        raise InvalidInput("point dimension must match the menu")
-    dim = point.size
-    feas = [lp.simplex_row(dim)]
-    for c in range(menu.n_constraints):
-        feas.append((menu.normals[c], lp.LE, float(menu.rhs[c])))
-    if not lp.solve_lp(lp.LinearProgram(np.zeros(dim), feas)).is_optimal:
-        raise EmptyMenu("menu has no intersection with the simplex")
-
-    def project_simplex(v: np.ndarray) -> np.ndarray:
-        u = np.sort(v)[::-1]
-        css = np.cumsum(u) - 1.0
-        rho = np.nonzero(u - css / (np.arange(dim) + 1) > 0)[0][-1]
-        theta = css[rho] / (rho + 1.0)
-        return np.maximum(v - theta, 0.0)
-
-    sets = [("simplex", None, None)] + [
-        ("half", menu.normals[c], float(menu.rhs[c])) for c in range(menu.n_constraints)
-    ]
-    x = point.copy()
-    corrections = [np.zeros(dim) for _ in sets]
-    for _ in range(100_000):
-        x_prev = x.copy()
-        for s, (kind, a, b) in enumerate(sets):
-            yv = x + corrections[s]
-            if kind == "simplex":
-                proj = project_simplex(yv)
-            elif a @ a > 0.0:
-                proj = yv - (max(0.0, a @ yv - b) / (a @ a)) * a
-            else:
-                proj = yv  # a zero normal holds everywhere: the program above showed 0 <= b
-            corrections[s] = yv - proj
-            x = proj
-        if np.linalg.norm(x - x_prev) < 1e-10:
-            break
-    return float(np.linalg.norm(point - x))

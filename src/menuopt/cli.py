@@ -61,9 +61,10 @@ def _load_game(path: str) -> tuple[BimatrixGame, bytes]:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-    except OSError as exc:
+        text = raw.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read game file: {exc}") from exc
-    return BimatrixGame.from_json(raw.decode("utf-8")), raw
+    return BimatrixGame.from_json(text), raw
 
 
 def _load_assignment(path: Optional[str], game: BimatrixGame) -> CspAssignment:
@@ -72,7 +73,7 @@ def _load_assignment(path: Optional[str], game: BimatrixGame) -> CspAssignment:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             assign = CspAssignment.from_json(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read assignment file: {exc}") from exc
     if len(assign) != game.k or assign[0].weights.size != game.m * game.n:
         raise InvalidInput("assignment dimensions do not match the game")

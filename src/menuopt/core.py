@@ -117,7 +117,7 @@ class BimatrixGame:
     def from_json(text: str) -> "BimatrixGame":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InvalidInput(f"invalid JSON: {exc}") from exc
         try:
             u_L = np.array(doc["u_L"], dtype=float)
@@ -197,7 +197,7 @@ class CspAssignment:
         try:
             doc = json.loads(text)
             profiles = tuple(Csp(np.array(p, dtype=float)) for p in doc["profiles"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed assignment document: {exc}") from exc
         return CspAssignment(profiles)
 

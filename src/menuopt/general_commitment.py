@@ -32,7 +32,7 @@ from .approachability import (
 )
 from .core import BimatrixGame, Csp, CspAssignment, assignment_value
 from .errors import InvalidInput
-from .menus import HalfspaceMenu, candidate_menu
+from .menus import HalfspaceMenu, candidate_menu, incentive_rows
 
 _EQ_TOL_FRACTION = 0.01  # relax the simplex and IC rows by eps/100
 
@@ -103,12 +103,7 @@ def optimize_general(
     # central cut below
     sum_rows = np.kron(np.eye(k), np.ones(mn))  # row i is 1 on block i
     neg_sum_rows, neg_units, neg_obj = -sum_rows, -np.eye(d), -obj
-    ic_rows = np.zeros((k, k, d))  # [i, j]: u_{O,i} on block i minus on block j
-    for i in range(k):
-        for j in range(k):
-            ic_rows[i, j, i * mn : (i + 1) * mn] = uo_flat[i]
-            ic_rows[i, j, j * mn : (j + 1) * mn] -= uo_flat[i]
-    neg_ic_rows = -ic_rows.reshape(k * k, d)  # row i * k + j
+    neg_ic_rows = -incentive_rows(game)  # in ic_gap's (i, j != i) order
     net = TesterNet.build(game, delta)  # shared by every verdict below
     best_vec: Optional[np.ndarray] = None
     best_val = -np.inf
@@ -137,8 +132,8 @@ def optimize_general(
             cut = neg_units[i * mn + blocks[i].tolist().index(negs[i])]
         else:
             own = (uo_flat @ blocks.T).tolist()  # own[i][j] = u_{O,i}(phi_j)
-            ic_gap = [row[i] - x for i, row in enumerate(own) for x in row]
-            if min(ic_gap) < -tol:
+            ic_gap = [row[i] - x for i, row in enumerate(own) for j, x in enumerate(row) if j != i]
+            if min(ic_gap, default=0.0) < -tol:
                 cut = neg_ic_rows[ic_gap.index(min(ic_gap))]
             else:
                 # thresholds are linear in the raw center, so the tester and

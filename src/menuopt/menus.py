@@ -141,18 +141,20 @@ def candidate_menu(assign: CspAssignment, eps: float, game: BimatrixGame) -> Hal
     return HalfspaceMenu(normals, rhs)
 
 
-def incentive_check(assign: CspAssignment, game: BimatrixGame, slack: float = 0.0) -> bool:
-    """Does every type weakly prefer its own profile (up to slack)?"""
-    if slack < 0:
-        raise InvalidInput("slack must be nonnegative")
-    vals = np.array(
-        [
-            [bilinear_value(game.u_O(i), assign[j]) for j in range(len(assign))]
-            for i in range(game.k)
-        ]
-    )
-    own = np.diag(vals)
-    return bool(np.all(own[:, None] >= vals - slack))
+def incentive_rows(game: BimatrixGame) -> np.ndarray:
+    """The k(k-1) incentive rows over k stacked profiles, in (i, j != i) order.
+
+    Row (i, j) is u_{O,i} on block i minus u_{O,i} on block j, so
+    row . phi >= 0 says that type i weakly prefers its own profile to j's.
+    """
+    k, mn = game.k, game.m * game.n
+    rows = np.zeros((k * (k - 1), k * mn))
+    pairs = [(i, j) for i in range(k) for j in range(k) if j != i]
+    for row, (i, j) in zip(rows, pairs):
+        u = game.u_O(i).ravel()
+        row[i * mn : (i + 1) * mn] = u
+        row[j * mn : (j + 1) * mn] -= u
+    return rows
 
 
 def type_picks(

@@ -21,7 +21,7 @@ import numpy as np
 from . import lp
 from .core import BimatrixGame, Csp, CspAssignment
 from .errors import EmptyMenu
-from .menus import HalfspaceMenu, eval_menu_value, no_regret_menu, no_swap_regret_menu
+from .menus import HalfspaceMenu, eval_menu_value, incentive_rows, no_regret_menu, no_swap_regret_menu
 from .stackelberg import type_leader_values
 
 
@@ -58,14 +58,7 @@ def optimal_no_regret_commitment(game: BimatrixGame) -> NoRegretCommitment:
         row = np.zeros(d)
         row[block] = game.u_O(i).ravel()
         cons.append((row, lp.GE, float(v[i])))
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            row = np.zeros(d)
-            row[i * mn : (i + 1) * mn] = game.u_O(i).ravel()
-            row[j * mn : (j + 1) * mn] -= game.u_O(i).ravel()
-            cons.append((row, lp.GE, 0.0))
+    cons += [(row, lp.GE, 0.0) for row in incentive_rows(game)]
     obj = np.outer(game.alphas, game.u_L.ravel()).ravel()
     tie_obj = game.opponent_payoffs.ravel()
     stages = lp.solve_lexicographic([obj, tie_obj], cons)

@@ -1,9 +1,10 @@
-"""Stackelberg equilibria of normal-form games via best-response-region LPs.
+"""Per-type Stackelberg leader values via best-response-region LPs.
 
-One phase 1 per follower column, shared by every opponent type: each type
-maximizes its payoff over the leader mixes for which that column is a
-(weak) follower best response, then keeps its best column.  Weak
-inequalities implement tie-breaking in the leader's favor.
+Each opponent type leads and the learner follows.  One phase 1 per
+follower column is shared by every type: each type maximizes its payoff
+over the leader mixes for which that column is a (weak) follower best
+response, then keeps its best column.  Weak inequalities implement
+tie-breaking in the leader's favor.
 """
 
 from __future__ import annotations
@@ -28,20 +29,14 @@ class StackelbergResult:
     csp: Csp  # product profile leader_mix (x) e_{follower_action}, leader rows
 
 
-def stackelberg_leader(
-    leader_payoff: np.ndarray, follower_payoff: np.ndarray
-) -> StackelbergResult:
-    """Leader commits to a mix over rows; follower best-responds by column.
+def _leaders(leader_payoffs: List[np.ndarray], follower_payoff: np.ndarray) -> List[StackelbergResult]:
+    """Each leader payoff's Stackelberg outcome against one follower payoff.
 
-    Ties among equally good follower columns are broken by the lowest
-    column index.  Columns that are never a best response yield an
+    The leader commits to a mix over rows; the follower best-responds by
+    column.  Ties among equally good follower columns are broken by the
+    lowest column index.  Columns that are never a best response yield an
     infeasible subproblem and are skipped.
     """
-    return _leaders([leader_payoff], follower_payoff)[0]
-
-
-def _leaders(leader_payoffs: List[np.ndarray], follower_payoff: np.ndarray) -> List[StackelbergResult]:
-    """`stackelberg_leader` of each leader payoff, one phase 1 per follower column."""
     As = [np.asarray(A, dtype=float) for A in leader_payoffs]
     B = np.asarray(follower_payoff, dtype=float)
     if B.ndim != 2 or any(A.shape != B.shape for A in As):

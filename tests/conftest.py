@@ -1,11 +1,13 @@
 from fractions import Fraction
+from typing import Tuple
 
 import numpy as np
 import pytest
 
 from menuopt import lp
-from menuopt.core import BimatrixGame
+from menuopt.core import BimatrixGame, CspAssignment, bilinear_value
 from menuopt.errors import InvalidInput
+from menuopt.stackelberg import StackelbergResult, _leaders
 
 
 # 3x2 running example: learner rows A, B, C; opponent columns R, S.
@@ -100,3 +102,48 @@ def min_positive_gap(u: np.ndarray) -> float:
     if vals.size < 2:
         return 1.0
     return float(np.min(np.diff(vals)))
+
+
+# Reference spellings of what the solvers compute inline: one direction's
+# halfspace game valued by the simplex, a boolean incentive check, and one
+# leader's Stackelberg outcome.
+
+
+def halfspace_value(game: BimatrixGame, a: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
+    """Forceable level of the direction-a halfspace, with both strategies.
+
+    Returns (value, x, y) for the zero-sum game on M_a = sum_s a_s u_{O,s}
+    with the learner minimizing; the halfspace {u : a . u <= b} can be
+    forced iff value <= b.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.shape != (game.k,) or np.min(a) < -1e-12 or abs(a.sum() - 1.0) > 1e-9:
+        raise InvalidInput("direction must lie on the type simplex")
+    M_a = np.tensordot(a, game.opponent_payoffs, axes=(0, 0))
+    return lp.zero_sum_value(M_a)
+
+
+def incentive_check(assign: CspAssignment, game: BimatrixGame, slack: float = 0.0) -> bool:
+    """Does every type weakly prefer its own profile (up to slack)?"""
+    if slack < 0:
+        raise InvalidInput("slack must be nonnegative")
+    vals = np.array(
+        [
+            [bilinear_value(game.u_O(i), assign[j]) for j in range(len(assign))]
+            for i in range(game.k)
+        ]
+    )
+    own = np.diag(vals)
+    return bool(np.all(own[:, None] >= vals - slack))
+
+
+def stackelberg_leader(
+    leader_payoff: np.ndarray, follower_payoff: np.ndarray
+) -> StackelbergResult:
+    """Leader commits to a mix over rows; follower best-responds by column.
+
+    Ties among equally good follower columns are broken by the lowest
+    column index.  Columns that are never a best response yield an
+    infeasible subproblem and are skipped.
+    """
+    return _leaders([leader_payoff], follower_payoff)[0]

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import min_positive_gap, random_csp, random_game
+from conftest import halfspace_value, min_positive_gap, random_csp, random_game
 from menuopt import lp
 from menuopt.approachability import (
     direction_net,
-    halfspace_value,
     separator_for_thresholds,
     simplex_lattice,
     test_assignment_valid,

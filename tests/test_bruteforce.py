@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_csp, random_game
+from conftest import halfspace_value, random_csp, random_game
 from menuopt import lp
-from menuopt.approachability import halfspace_value
-from menuopt.bruteforce import (
-    euclidean_distance_to_polytope,
-    grid_bruteforce_nr,
-    grid_maximin_opt,
-    grid_menu_validity,
-)
+from menuopt.bruteforce import grid_bruteforce_nr, grid_maximin_opt, grid_menu_validity
 from menuopt.core import BimatrixGame, Csp, CspAssignment
-from menuopt.errors import EmptyMenu, GridTooLarge
+from menuopt.errors import EmptyMenu, GridTooLarge, InvalidInput
 from menuopt.menus import HalfspaceMenu, candidate_menu, menu_violation, no_regret_menu
 from menuopt.nr_commitment import optimal_no_regret_commitment
 
@@ -208,3 +202,51 @@ def test_violation_surrogate_vs_euclidean_distance():
         assert viol <= dist * float(np.linalg.norm(normal)) + 1e-6
         if viol == 0.0:
             assert dist <= 1e-6
+
+
+# The L2 reference the distance tests above measure menus with; no solver
+# projects, so it lives here, beside its only user.
+def euclidean_distance_to_polytope(point: np.ndarray, menu: HalfspaceMenu) -> float:
+    """Exact L2 distance from `point` to the menu (simplex ∩ halfspaces).
+
+    Dykstra's alternating projections onto the simplex and each
+    halfspace, iterated to 1e-6; used to spot-check the constraint-space
+    violation surrogate.
+    """
+    point = np.asarray(point, dtype=float)
+    if point.shape != (menu.dim,) and menu.n_constraints > 0:
+        raise InvalidInput("point dimension must match the menu")
+    dim = point.size
+    feas = [lp.simplex_row(dim)]
+    for c in range(menu.n_constraints):
+        feas.append((menu.normals[c], lp.LE, float(menu.rhs[c])))
+    if not lp.solve_lp(lp.LinearProgram(np.zeros(dim), feas)).is_optimal:
+        raise EmptyMenu("menu has no intersection with the simplex")
+
+    def project_simplex(v: np.ndarray) -> np.ndarray:
+        u = np.sort(v)[::-1]
+        css = np.cumsum(u) - 1.0
+        rho = np.nonzero(u - css / (np.arange(dim) + 1) > 0)[0][-1]
+        theta = css[rho] / (rho + 1.0)
+        return np.maximum(v - theta, 0.0)
+
+    sets = [("simplex", None, None)] + [
+        ("half", menu.normals[c], float(menu.rhs[c])) for c in range(menu.n_constraints)
+    ]
+    x = point.copy()
+    corrections = [np.zeros(dim) for _ in sets]
+    for _ in range(100_000):
+        x_prev = x.copy()
+        for s, (kind, a, b) in enumerate(sets):
+            yv = x + corrections[s]
+            if kind == "simplex":
+                proj = project_simplex(yv)
+            elif a @ a > 0.0:
+                proj = yv - (max(0.0, a @ yv - b) / (a @ a)) * a
+            else:
+                proj = yv  # a zero normal holds everywhere: the program above showed 0 <= b
+            corrections[s] = yv - proj
+            x = proj
+        if np.linalg.norm(x - x_prev) < 1e-10:
+            break
+    return float(np.linalg.norm(point - x))

@@ -266,6 +266,26 @@ def test_malformed_game_exits_2(capsys, tmp_path):
     assert json.loads(out)["error"]["kind"] == "validation"
 
 
+UNDECODABLE = {
+    "not-utf8": b"\xff\xfe" + json.dumps(G1_DOC).encode("utf-16-le"),
+    "too-deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNDECODABLE))
+@pytest.mark.parametrize("flag", ["--game", "--assignment"])
+def test_undecodable_input_file_exits_2(capsys, g1_path, tmp_path, flag, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNDECODABLE[kind])
+    if flag == "--game":
+        argv = ["commit-nr", "--game", str(bad)]
+    else:
+        argv = ["check-menu", "--game", g1_path, "--assignment", str(bad)]
+    code, out = run_json(capsys, *argv)
+    assert code == 2
+    assert out["error"]["kind"] == "validation"
+
+
 def test_missing_game_file_exits_2(capsys):
     code, out = run_cli(capsys, "commit-nr", "--game", "/nonexistent/g.json")
     assert code == 2

@@ -1,11 +1,13 @@
-"""The modules of the package import one another without a cycle, and the
-exact solvers reach no approximate one.
+"""The modules of the package import one another without a cycle, the
+exact solvers reach no approximate one, and every exported function is
+used by the package or a demo, not only by the tests.
 
 Every import statement counts, including one inside a function body, so a
 cycle or a layering break cannot come back through a local import.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "menuopt"
@@ -100,3 +102,40 @@ def test_function_level_imports_are_edges(tmp_path):
 def test_cycle_finder_reports_a_cycle():
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"b"}, "b": set()}) is None
+
+
+# Exported functions that no module or demo needs to call.  The paper's
+# abortable forcing run is part of the public API in its own right:
+# `run_maximin` plays it epoch by epoch through `ForcingState`, and the
+# acceptance criteria run it whole.
+TEST_ONLY_ALLOWED = {"run_blackwell_abort"}
+
+
+def names_read(path: Path) -> set:
+    """Names that the source of `path` reads, as a variable or an attribute.
+
+    A `def` or an import binds its name without reading it."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+    return found
+
+
+def exported_functions() -> set:
+    import menuopt
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    names = {a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names}
+    return {name for name in names if inspect.isfunction(getattr(menuopt, name))}
+
+
+def test_every_exported_function_is_used_outside_the_tests():
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += sorted((PACKAGE.parents[1] / "demos").glob("*.py"))
+    used = set().union(*(names_read(p) for p in sources))
+    unused = exported_functions() - used
+    assert unused == TEST_ONLY_ALLOWED, f"only tests call {sorted(unused - TEST_ONLY_ALLOWED)}"
+

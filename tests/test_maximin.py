@@ -57,7 +57,7 @@ def test_threshold_infeasible_above_max(g1):
 
 
 def test_threshold_assignment_is_incentive_compatible():
-    from menuopt.menus import incentive_check
+    from conftest import incentive_check
 
     rng = np.random.default_rng(81)
     for _ in range(10):

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_csp, random_game
+from conftest import incentive_check, random_csp, random_game
 from menuopt import lp
 from menuopt.core import BimatrixGame, Csp, CspAssignment, bilinear_value
 from menuopt.errors import EmptyMenu
 from menuopt.menus import (
     HalfspaceMenu,
     candidate_menu,
-    incentive_check,
     menu_violation,
     no_regret_check,
     no_regret_menu,

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import G1_NR_VALUE, G1_NR_WEIGHTS, random_game
+from conftest import G1_NR_VALUE, G1_NR_WEIGHTS, incentive_check, random_game
 from menuopt.bruteforce import grid_bruteforce_nr
 from menuopt.core import BimatrixGame, Csp, assignment_value, bilinear_value
-from menuopt.menus import incentive_check, no_regret_check
+from menuopt.menus import no_regret_check
 from menuopt.nr_commitment import nsr_baseline_value, optimal_no_regret_commitment
 
 

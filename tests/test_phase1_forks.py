@@ -16,10 +16,10 @@ they share an infeasible phase 1) and three games scaled by 1e6.
 import numpy as np
 import pytest
 
-from conftest import G1_UL, G1_UO, random_game, same_bits, scaled
+from conftest import G1_UL, G1_UO, random_game, same_bits, scaled, stackelberg_leader
 from menuopt import lp, maximin, menus, nr_commitment, stackelberg
 from menuopt.core import BimatrixGame
-from menuopt.stackelberg import stackelberg_leader, type_leader_values
+from menuopt.stackelberg import type_leader_values
 
 
 def games():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_game
+from conftest import random_game, stackelberg_leader
 from menuopt import lp
 from menuopt.core import Csp, bilinear_value
 from menuopt.menus import no_swap_regret_check
-from menuopt.stackelberg import stackelberg_leader, type_leader_values
+from menuopt.stackelberg import type_leader_values
 
 
 def test_g1_optimizer_leads_to_as(g1):

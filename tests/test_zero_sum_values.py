@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_game
+from conftest import halfspace_value, random_game
 from menuopt import lp
-from menuopt.approachability import TesterNet, halfspace_value
+from menuopt.approachability import TesterNet
 from menuopt.errors import InvalidInput
 
 try:
